@@ -2,6 +2,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The file sizes (bytes) served in the paper's Figure 5 sweep.
 pub const PAPER_FILE_SIZES: &[usize] = &[
@@ -29,13 +30,16 @@ pub struct Docroot {
 
 impl Docroot {
     /// Creates the docroot under the system temp dir, writing one file
-    /// per entry in `sizes`.
+    /// per entry in `sizes`. Each docroot gets its own directory, so
+    /// dropping one never deletes another's files.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn create(sizes: &[usize]) -> io::Result<Docroot> {
-        let dir = std::env::temp_dir().join(format!("lp-httpd-root-{}", std::process::id()));
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("lp-httpd-root-{}-{seq}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         for &size in sizes {
             std::fs::write(dir.join(format!("file_{size}")), pattern(size))?;
@@ -92,6 +96,15 @@ mod tests {
         assert!(root.resolve("/nope").is_none());
         assert!(root.resolve("nope").is_none());
         assert!(root.resolve("/").is_none());
+    }
+
+    #[test]
+    fn live_docroots_do_not_share_a_dir() {
+        let a = Docroot::create(&[64]).unwrap();
+        let b = Docroot::create(&[64]).unwrap();
+        assert_ne!(a.path(), b.path());
+        drop(a);
+        assert!(b.resolve(&path_for_size(64)).is_some());
     }
 
     #[test]

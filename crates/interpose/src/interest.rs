@@ -10,7 +10,7 @@
 //! raw syscall for numbers the handler declared no interest in.
 //!
 //! The set covers numbers `0..512` (`syscalls::MAX_SYSCALL_NR`, the
-//! same bound the zpoline trampoline's nop sled covers). Numbers at or
+//! same bound the zpoline trampoline's sled covers). Numbers at or
 //! above the bound are conservatively reported as interesting, so a
 //! handler can never silently miss an out-of-table syscall.
 

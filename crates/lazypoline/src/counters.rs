@@ -118,12 +118,21 @@ pub(crate) fn get(counter: &Counter) -> u64 {
         .sum()
 }
 
+/// Serializes unit tests that bump the process-global counters with
+/// tests that read them twice and compare.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn bump_and_get() {
+        let _lock = test_lock();
         // Tests share the process-global counters, so assert on deltas.
         let before = get(&SIGNALS_WRAPPED);
         bump(&SIGNALS_WRAPPED);
@@ -133,6 +142,7 @@ mod tests {
 
     #[test]
     fn shards_aggregate_across_threads() {
+        let _lock = test_lock();
         let before = get(&UNPATCHABLE_EMULATIONS);
         let threads: Vec<_> = (0..8)
             .map(|_| {

@@ -525,7 +525,9 @@ mod tests {
     #[test]
     fn mode_defaults_to_uninitialized_in_unit_tests() {
         // Unit tests never run engine init (it would rewrite this test
-        // process); the health snapshot must still be readable.
+        // process); the health snapshot must still be readable. The
+        // lock keeps counter tests from bumping between the two reads.
+        let _lock = crate::counters::test_lock();
         let h = health();
         assert_eq!(h.stats, stats());
         assert!(h.patch_blocklist_pages <= crate::blocklist::CAPACITY as u64);

@@ -5,11 +5,12 @@
 //! lazypoline paper does (§IV-B): the 2-byte `syscall` instruction is
 //! replaced in place with the 2-byte `call rax` instruction, and virtual
 //! address 0 hosts a trampoline whose first [`syscalls::MAX_SYSCALL_NR`]
-//! bytes are a `nop` sled. Because the syscall calling convention keeps
-//! the syscall number in `rax`, the `call rax` lands inside the sled and
-//! slides into an assembly entry stub that preserves the full register
-//! image, optionally XSAVEs extended state, and calls a registered
-//! dispatcher.
+//! bytes are a sled. Because the syscall calling convention keeps the
+//! syscall number in `rax`, the `call rax` lands inside the sled and
+//! hops through it (short forward jumps where zpoline has `nop`s, see
+//! [`trampoline::sled_bytes`]) into an assembly entry stub that
+//! preserves the full register image, optionally XSAVEs extended
+//! state, and calls a registered dispatcher.
 //!
 //! Three pieces compose:
 //!

@@ -449,6 +449,8 @@ mod tests {
 
     #[test]
     fn region_perms_finds_our_code_and_stack() {
+        // Sibling tests' mmaps could reuse the page unmapped below.
+        let _serial = crate::trampoline::TestSerial::lock();
         let code = region_perms(patch_syscall_site as *const () as usize).unwrap();
         assert!(code.exec && !code.write, "text should be r-x: {code:?}");
         let local = 0u8;
@@ -482,6 +484,7 @@ mod tests {
 
     #[test]
     fn patch_requires_trampoline_or_valid_site() {
+        let _serial = crate::trampoline::TestSerial::lock();
         // Craft a fake "code" page holding a syscall instruction.
         unsafe {
             let page = libc::mmap(
@@ -547,6 +550,7 @@ mod tests {
 
     #[test]
     fn batch_patches_all_sites_on_page() {
+        let _serial = crate::trampoline::TestSerial::lock();
         unsafe {
             let p = mk_code_page();
             if !Trampoline::is_installed() && !Trampoline::environment_supported() {
@@ -593,6 +597,7 @@ mod tests {
 
     #[test]
     fn batch_never_patches_backward_and_stops_at_unknown() {
+        let _serial = crate::trampoline::TestSerial::lock();
         unsafe {
             let p = mk_code_page();
             if !Trampoline::is_installed() && !Trampoline::environment_supported() {

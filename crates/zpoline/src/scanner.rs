@@ -247,6 +247,7 @@ mod tests {
             eprintln!("vm.mmap_min_addr != 0; skipping");
             return;
         }
+        let _serial = crate::trampoline::TestSerial::lock();
         Trampoline::install().unwrap();
         unsafe {
             // Emit: mov eax, GETPID; syscall; ret — runtime-generated code.
@@ -298,13 +299,16 @@ mod live_scan_tests {
     /// about undecodable bytes.
     #[test]
     fn scan_this_process_image() {
+        // Sibling tests map and unmap RWX pages; hold them off while
+        // the scan reads every executable region.
+        let _serial = crate::trampoline::TestSerial::lock();
         let regions = exec_regions().unwrap();
         let mut total_sites = 0usize;
         let mut total_bytes = 0usize;
         let mut total_unknown = 0usize;
         for region in &regions {
             // SAFETY: regions come from /proc/self/maps and stay mapped
-            // (this process does not unmap code).
+            // (the lock above keeps sibling tests from unmapping code).
             let report = unsafe { scan_range(region.start, region.len()) };
             total_sites += report.sites.len();
             total_bytes += region.len();

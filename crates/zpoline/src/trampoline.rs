@@ -7,13 +7,26 @@
 //!       call rax             ; ← was `syscall` (0f 05), now ff d0
 //!         │ pushes return address, jumps to VA = NR (< 512)
 //!         ▼
-//! 0x000..0x200: 90 90 90 ... ; nop sled, slides to…
+//! 0x000..0x1b8: eb 48 eb 48 ... ; jump sled: `jmp +0x48` at even NR,
+//!                               ; `rex.W jmp +0x48` at odd NR, ≤ 6 hops…
+//! 0x1b8..0x200: 90 48 90 ... 90 ; …into a short nop tail (`nop` /
+//!                               ; `rex.W nop`), which slides to…
 //! 0x200: movabs r11, lp_zpoline_entry ; jmp r11
 //!         ▼
 //! lp_zpoline_entry (asm below): save registers → optional XSAVE →
 //!       call the registered dispatcher → optional XRSTOR → restore →
 //!       ret   ; straight back to the instruction after the call site
 //! ```
+//!
+//! Deviation from zpoline and the paper: their page holds a plain `nop`
+//! sled, so a low syscall number (`read` = 0) walks ~512 `nop`s before
+//! the stub while nr 500 walks 12 — the paper benchmarks nr 500 for
+//! exactly that reason (§V-B(a)). The jump sled ([`sled_bytes`]) makes
+//! every entry reach the stub in at most 42 instructions (6 jumps, then
+//! at most 36 tail steps). Like `nop`s, `jmp rel8` leaves flags,
+//! registers and the stack untouched. The simulator (`sim-interpose`)
+//! keeps the paper's nop sled so it can still model the sled-position
+//! effect.
 //!
 //! # ABI fidelity (paper §IV-B(b))
 //!
@@ -41,6 +54,7 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use syscalls::MAX_SYSCALL_NR;
 
@@ -251,7 +265,37 @@ extern "C" {
     pub fn lp_zpoline_entry();
 }
 
+/// Displacement of every sled jump. At an odd offset the CPU decodes
+/// this byte as a REX.W prefix, which `jmp rel8` and `nop` ignore, so
+/// odd entries execute `48 eb 48` and land on an even offset too.
+const SLED_DISP: u8 = 0x48;
+
+/// The bytes at VA `0..MAX_SYSCALL_NR`: the jump sled.
+///
+/// Even offsets hold `eb 48` (`jmp +0x48`) wherever the jump cannot
+/// overshoot the stub; past that point they hold `90` (`nop`), so the
+/// tail is walked as `nop` / `rex.W nop` two bytes per step. Odd
+/// offsets hold `48`. The last byte is a plain `nop` so that no prefix
+/// spills onto the stub's first instruction.
+pub const fn sled_bytes() -> [u8; MAX_SYSCALL_NR as usize] {
+    const LEN: usize = MAX_SYSCALL_NR as usize;
+    let mut sled = [0x90u8; LEN];
+    let mut off = 0;
+    while off < LEN - 1 {
+        if off + 2 + SLED_DISP as usize <= LEN {
+            sled[off] = 0xeb;
+        }
+        sled[off + 1] = SLED_DISP;
+        off += 2;
+    }
+    sled[LEN - 1] = 0x90;
+    sled
+}
+
 static TRAMPOLINE_INSTALLED: AtomicBool = AtomicBool::new(false);
+
+/// Held while page zero is being mapped, filled or probed.
+static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 
 /// Handle to the installed page-zero trampoline.
 ///
@@ -281,6 +325,13 @@ impl Trampoline {
         // Acquire pairs with the Release store at the end of a
         // concurrent install, so a caller that observes `true` also
         // observes the fully written trampoline page.
+        if TRAMPOLINE_INSTALLED.load(Ordering::Acquire) {
+            return Ok(Trampoline { sled_len });
+        }
+        // Concurrent first installs would each MAP_FIXED page zero, the
+        // later mapping replacing a page the earlier caller may already
+        // be executing. Serialize them and re-check under the lock.
+        let _install = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         if TRAMPOLINE_INSTALLED.load(Ordering::Acquire) {
             return Ok(Trampoline { sled_len });
         }
@@ -328,10 +379,17 @@ impl Trampoline {
         }
 
         unsafe {
-            // nop sled covering every syscall number. The sled starts at
-            // address 0, which Rust pointer intrinsics treat as null, so
-            // the fill goes through libc (plain FFI, no null checks).
-            libc::memset(page, 0x90, sled_len);
+            // Jump sled covering every syscall number. The sled starts
+            // at address 0, which Rust pointer writes reject as null in
+            // debug builds, so the fill goes through libc (plain FFI,
+            // no null checks), one byte at a time. `black_box` keeps the
+            // optimizer from using the `is_null` check above to treat
+            // the fill as a write through null.
+            const SLED: [u8; MAX_SYSCALL_NR as usize] = sled_bytes();
+            let base = std::hint::black_box(page) as usize;
+            for (off, &byte) in SLED.iter().enumerate() {
+                libc::memset((base + off) as *mut libc::c_void, byte.into(), 1);
+            }
             // movabs r11, lp_zpoline_entry ; jmp r11
             // (r11 is syscall-clobbered, so scribbling it is ABI-clean.)
             let stub = sled_len as *mut u8; // page base is 0
@@ -361,7 +419,7 @@ impl Trampoline {
         TRAMPOLINE_INSTALLED.load(Ordering::Acquire)
     }
 
-    /// Length of the nop sled (= number of syscall numbers covered).
+    /// Length of the sled (= number of syscall numbers covered).
     pub fn sled_len(&self) -> usize {
         self.sled_len
     }
@@ -381,6 +439,12 @@ impl Trampoline {
         }
         static PROBE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *PROBE.get_or_init(|| {
+            // Under the install lock, so the probe cannot unmap a
+            // trampoline that a concurrent install is writing.
+            let _install = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            if Self::is_installed() {
+                return true;
+            }
             // SAFETY: PROT_NONE mapping at a fixed address nothing can
             // legitimately occupy before the trampoline exists;
             // immediately unmapped.
@@ -405,9 +469,37 @@ impl Trampoline {
     }
 }
 
+/// Serializes the crate's tests that enter the trampoline, which share
+/// `LP_DISPATCH_PTR` and `LP_XSTATE_MASK`, and those that map, unmap
+/// or scan code pages. Dropping the guard restores the passthrough
+/// dispatcher and the default mask before unlocking.
+#[cfg(test)]
+pub(crate) struct TestSerial {
+    _guard: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl TestSerial {
+    pub(crate) fn lock() -> TestSerial {
+        static LOCK: Mutex<()> = Mutex::new(());
+        TestSerial {
+            _guard: LOCK.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestSerial {
+    fn drop(&mut self) {
+        set_dispatcher(passthrough_dispatch);
+        set_xstate_mask(XstateMask::default());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disasm;
     use std::sync::atomic::AtomicU64;
     use syscalls::{nr, Errno};
 
@@ -416,6 +508,17 @@ mod tests {
     unsafe extern "C" fn counting_dispatch(frame: *mut RawFrame) -> u64 {
         SEEN_NR.store((*frame).nr, Ordering::SeqCst);
         syscalls::raw::syscall((*frame).syscall_args())
+    }
+
+    /// Records `frame.nr` and hands it back as the result without
+    /// executing anything.
+    ///
+    /// # Safety
+    ///
+    /// `frame` must point to a live `RawFrame`, as the stub passes it.
+    unsafe extern "C" fn echo_dispatch(frame: *mut RawFrame) -> u64 {
+        SEEN_NR.store((*frame).nr, Ordering::SeqCst);
+        (*frame).nr
     }
 
     fn call_via_trampoline(args: syscalls::SyscallArgs) -> u64 {
@@ -438,12 +541,54 @@ mod tests {
         ret
     }
 
+    /// Walks the sled from `entry` to its end, checking each step is a
+    /// `nop` or a forward `jmp rel8`, optionally behind one
+    /// [`SLED_DISP`] prefix. Returns the end offset and the step count.
+    fn walk(sled: &[u8], entry: usize) -> (usize, usize) {
+        let (mut off, mut steps) = (entry, 0);
+        while off < sled.len() {
+            let insn = disasm::decode(&sled[off..]);
+            assert!(insn.known, "entry {entry}: undecodable byte at {off:#x}");
+            let prefix = usize::from(sled[off] == SLED_DISP);
+            let op = off + prefix;
+            off = match sled[op] {
+                0x90 => {
+                    assert_eq!(insn.len, prefix + 1, "entry {entry}: nop at {op:#x}");
+                    off + insn.len
+                }
+                0xeb => {
+                    assert_eq!(insn.len, prefix + 2, "entry {entry}: jmp at {op:#x}");
+                    let disp = sled[op + 1] as i8;
+                    assert!(disp >= 0, "entry {entry}: backward jump at {op:#x}");
+                    off + insn.len + disp as usize
+                }
+                other => panic!("entry {entry}: opcode {other:#04x} at {op:#x}"),
+            };
+            steps += 1;
+        }
+        (off, steps)
+    }
+
+    #[test]
+    fn every_sled_entry_walks_forward_to_the_stub() {
+        let sled = sled_bytes();
+        let mut longest = 0;
+        for entry in 0..sled.len() {
+            let (end, steps) = walk(&sled, entry);
+            assert_eq!(end, sled.len(), "entry {entry} overshoots the stub");
+            longest = longest.max(steps);
+        }
+        // The figure the module docs and DESIGN.md quote.
+        assert_eq!(longest, 42);
+    }
+
     #[test]
     fn trampoline_end_to_end() {
         if !Trampoline::environment_supported() {
             eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
             return;
         }
+        let _serial = TestSerial::lock();
         let t = Trampoline::install().unwrap();
         assert_eq!(t.sled_len(), 512);
         assert!(Trampoline::is_installed());
@@ -454,7 +599,7 @@ mod tests {
         assert_eq!(pid, unsafe { libc::getpid() } as u64);
         assert_eq!(SEEN_NR.load(Ordering::SeqCst), nr::GETPID);
 
-        // Syscall 500 (tail of the sled) must come back ENOSYS.
+        // Syscall 500 (near the sled's end) must come back ENOSYS.
         let r = call_via_trampoline(syscalls::SyscallArgs::nullary(
             syscalls::NONEXISTENT_SYSCALL,
         ));
@@ -471,32 +616,120 @@ mod tests {
     }
 
     #[test]
+    fn every_syscall_number_reaches_the_stub_with_rax_intact() {
+        if !Trampoline::environment_supported() {
+            eprintln!("vm.mmap_min_addr != 0; skipping trampoline test");
+            return;
+        }
+        let _serial = TestSerial::lock();
+        Trampoline::install().unwrap();
+        set_dispatcher(echo_dispatch);
+        for n in 0..MAX_SYSCALL_NR {
+            SEEN_NR.store(u64::MAX, Ordering::SeqCst);
+            let r = call_via_trampoline(syscalls::SyscallArgs::nullary(n));
+            let seen = SEEN_NR.load(Ordering::SeqCst);
+            assert_eq!(seen, n, "dispatcher saw the wrong nr");
+            assert_eq!(r, n, "call rax {n} did not come back through the stub");
+        }
+    }
+
+    /// Overwrites `xmm7` — and all of `ymm7` on AVX hosts — with ones,
+    /// then executes the syscall: the dispatcher the xstate mask must
+    /// protect the application from.
+    ///
+    /// # Safety
+    ///
+    /// `frame` must point to a live `RawFrame`, as the stub passes it.
+    unsafe extern "C" fn clobbering_dispatch(frame: *mut RawFrame) -> u64 {
+        // SAFETY: the vector registers are caller-saved in the C ABI;
+        // `ymm7` is only written once CPUID and XCR0 report AVX.
+        if std::arch::is_x86_feature_detected!("avx") {
+            std::arch::asm!("vpcmpeqb ymm7, ymm7, ymm7", out("xmm7") _, options(nostack));
+        } else {
+            std::arch::asm!("pcmpeqb xmm7, xmm7", out("xmm7") _, options(nostack));
+        }
+        syscalls::raw::syscall((*frame).syscall_args())
+    }
+
+    /// Loads a sentinel into `ymm7` (`xmm7` without AVX), crosses the
+    /// trampoline via getpid, and returns the register's value after.
+    /// The upper half is only loaded and read back on AVX hosts.
+    fn ymm7_across_trampoline(sentinel: [u64; 4]) -> [u64; 4] {
+        let mut after = [0u64; 4];
+        let avx = std::arch::is_x86_feature_detected!("avx");
+        // SAFETY: the trampoline is installed, so `call rax` with a
+        // syscall number enters the stub, which preserves every register
+        // but `rax`, `rcx` and `r11`. `clobber_abi("C")`: without xstate
+        // preservation the dispatcher may clobber any vector register,
+        // not just xmm7. `rcx`/`r11` are early outputs so `after` cannot
+        // be allocated to them. AVX instructions run only on AVX hosts.
+        unsafe {
+            if avx {
+                std::arch::asm!(
+                    "vmovdqu ymm7, [{before}]",
+                    "call rax",
+                    "vmovdqu [{after}], ymm7",
+                    before = in(reg) sentinel.as_ptr(),
+                    after = in(reg) after.as_mut_ptr(),
+                    inlateout("rax") nr::GETPID => _,
+                    in("rdi") 0u64, in("rsi") 0u64, in("rdx") 0u64,
+                    in("r10") 0u64, in("r8") 0u64, in("r9") 0u64,
+                    out("rcx") _, out("r11") _,
+                    clobber_abi("C"),
+                );
+            } else {
+                std::arch::asm!(
+                    "movdqu xmm7, [{before}]",
+                    "call rax",
+                    "movdqu [{after}], xmm7",
+                    before = in(reg) sentinel.as_ptr(),
+                    after = in(reg) after.as_mut_ptr(),
+                    inlateout("rax") nr::GETPID => _,
+                    in("rdi") 0u64, in("rsi") 0u64, in("rdx") 0u64,
+                    in("r10") 0u64, in("r8") 0u64, in("r9") 0u64,
+                    out("rcx") _, out("r11") _,
+                    clobber_abi("C"),
+                );
+                after[2..].copy_from_slice(&sentinel[2..]);
+            }
+        }
+        after
+    }
+
+    #[test]
     fn xstate_preserved_across_trampoline() {
         if !Trampoline::environment_supported() {
             eprintln!("vm.mmap_min_addr != 0; skipping xstate test");
             return;
         }
+        let _serial = TestSerial::lock();
         Trampoline::install().unwrap();
-        set_xstate_mask(XstateMask::Avx);
+        set_dispatcher(clobbering_dispatch);
+        let sentinel = [
+            0xdead_beef_cafe_f00d,
+            0x0123_4567_89ab_cdef,
+            0xfeed_face_0bad_f00d,
+            0x1357_9bdf_2468_ace0,
+        ];
 
-        // Load a sentinel into xmm7, cross the trampoline, read it back.
-        // This is exactly the glibc pattern from the paper's Listing 1.
-        let before: u64 = 0xdead_beef_cafe_f00d;
-        let after: u64;
-        unsafe {
-            std::arch::asm!(
-                "movq xmm7, {before}",
-                "call rax",
-                "movq {after}, xmm7",
-                before = in(reg) before,
-                after = out(reg) after,
-                inlateout("rax") nr::GETPID => _,
-                in("rdi") 0u64, in("rsi") 0u64, in("rdx") 0u64,
-                in("r10") 0u64, in("r8") 0u64, in("r9") 0u64,
-                out("rcx") _, out("r11") _,
-            );
+        // Live vector state across the syscall is exactly the glibc
+        // pattern from the paper's Listing 1.
+        set_xstate_mask(XstateMask::Avx);
+        assert_eq!(
+            ymm7_across_trampoline(sentinel),
+            sentinel,
+            "ymm7 clobbered across interposition with XstateMask::Avx"
+        );
+
+        // Negative control: without preservation the clobber shows, so
+        // the assertion above is not vacuous.
+        set_xstate_mask(XstateMask::None);
+        let after = ymm7_across_trampoline(sentinel);
+        assert_ne!(after[..2], sentinel[..2], "xmm7 survived XstateMask::None");
+        if std::arch::is_x86_feature_detected!("avx") {
+            let upper = "ymm7's upper half survived XstateMask::None";
+            assert_ne!(after[2..], sentinel[2..], "{upper}");
         }
-        assert_eq!(after, before, "xmm7 clobbered across interposition");
     }
 
     #[test]
@@ -510,11 +743,10 @@ mod tests {
 
     #[test]
     fn mask_round_trip() {
-        let orig = xstate_mask_byte();
+        let _serial = TestSerial::lock();
         set_xstate_mask(XstateMask::Sse);
         assert_eq!(xstate_mask_byte(), 3);
         set_xstate_mask(XstateMask::Avx);
         assert_eq!(xstate_mask_byte(), 7);
-        unsafe { std::ptr::write_volatile(std::ptr::addr_of_mut!(LP_XSTATE_MASK), orig) };
     }
 }
