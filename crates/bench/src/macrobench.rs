@@ -222,7 +222,7 @@ impl ServerChild {
         );
         // Recording needs a trace sink: without `LP_TRACE_OUT` the
         // recorder has no drain thread and the rings overflow.
-        let trace = mech.ends_with("+record").then(|| {
+        let trace = mechanism::has_layer(mech, "record").then(|| {
             std::env::temp_dir().join(format!(
                 "lp_fig5_{}_{}.lptrace",
                 std::process::id(),

@@ -50,7 +50,7 @@ use std::ffi::{CStr, CString};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
+use interpose::{Action, HookId, HookStack, InterestSet, SyscallEvent, SyscallHandler};
 use libc::{c_char, c_int};
 use syscalls::Errno;
 
@@ -299,6 +299,11 @@ fn last_dlerror() -> String {
 /// A loaded, validated hook, adapted to the
 /// [`SyscallHandler`](interpose::SyscallHandler) trait so it can sit in
 /// a `HookStack` next to compiled-in handlers.
+///
+/// Clones share the same descriptor (and so the same library state):
+/// one clone sits in the stack while the owner keeps another to run
+/// `fini` after detaching it.
+#[derive(Clone)]
 pub struct LoadedHook {
     desc: &'static LpHookV1,
     name: String,
@@ -508,6 +513,40 @@ pub fn load_from_spec(spec: &str) -> Result<Vec<LoadedHook>, HookLoadError> {
     Ok(hooks)
 }
 
+/// A [`HookStack`] built by [`stack_from_spec`].
+pub struct SpecStack {
+    /// The stack. Clones share state: install one as the handler and
+    /// keep this one for runtime attach/detach.
+    pub stack: HookStack,
+    /// Every loaded hook with the id it is attached under, in load
+    /// order — kept so the owner can detach each and run its `fini`.
+    pub hooks: Vec<(HookId, LoadedHook)>,
+}
+
+/// The one `LP_HOOKS` loading path: loads every hook `spec` names
+/// ([`load_from_spec`], all-or-nothing) and stacks them by priority
+/// around `handler`, which anchors the stack at priority 0. The
+/// handler is attached first, so it runs before any hook that shares
+/// priority 0. On a load error nothing is stacked and `handler` comes
+/// back with the error, so the caller can carry on without hooks.
+pub fn stack_from_spec(
+    spec: &str,
+    handler: Box<dyn SyscallHandler>,
+) -> Result<SpecStack, (HookLoadError, Box<dyn SyscallHandler>)> {
+    let loaded = match load_from_spec(spec) {
+        Ok(loaded) => loaded,
+        Err(e) => return Err((e, handler)),
+    };
+    let stack = HookStack::new();
+    stack.attach(handler, 0);
+    let mut hooks = Vec::with_capacity(loaded.len());
+    for hook in loaded {
+        let id = stack.attach_dynamic(Box::new(hook.clone()), hook.priority());
+        hooks.push((id, hook));
+    }
+    Ok(SpecStack { stack, hooks })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,6 +690,25 @@ mod tests {
             parse_specs("libfoo.so,,libbar.so").unwrap_err(),
             HookLoadError::BadSpec { .. }
         ));
+    }
+
+    #[test]
+    fn stack_from_spec_anchors_handler_or_hands_it_back() {
+        let Ok(s) = stack_from_spec("", Box::new(interpose::PassthroughHandler)) else {
+            panic!("an empty spec stacks the handler alone");
+        };
+        assert!(s.hooks.is_empty());
+        assert_eq!(s.stack.entries(), vec![("passthrough".to_string(), 0)]);
+        assert_eq!(s.stack.dynamic_len(), 0);
+
+        let missing = "/nonexistent/libnothing.so";
+        match stack_from_spec(missing, Box::new(interpose::PassthroughHandler)) {
+            Err((HookLoadError::Open { .. }, handler)) => {
+                assert_eq!(handler.name(), "passthrough")
+            }
+            Err((other, _)) => panic!("expected Open, got {other}"),
+            Ok(_) => panic!("a missing library cannot stack"),
+        }
     }
 
     #[test]

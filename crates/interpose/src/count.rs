@@ -17,8 +17,8 @@ struct Counts {
 /// range, so the hot path is one relaxed fetch-add — safe from any
 /// interposition context. The storage is `Arc`-shared: `clone()` is
 /// cheap and every clone observes the same counters, so a test or
-/// report can keep a clone while the original is boxed into a chain,
-/// stack, or the global registry.
+/// report can keep a clone while the original is boxed into a stack or
+/// the global registry.
 pub struct CountHandler {
     counts: Arc<Counts>,
 }

@@ -1,8 +1,9 @@
 //! Priority-ordered, runtime-mutable handler stacks.
 //!
-//! [`HookStack`] generalizes [`ChainHandler`](crate::ChainHandler) from
-//! a build-once composition into a stack that can be **attached to and
-//! detached from while syscalls are in flight**. Dispatch is lock-free:
+//! [`HookStack`] is the one way to compose handlers: a stack that can
+//! be **attached to and detached from while syscalls are in flight**
+//! (attach every handler at one priority for a fixed, insertion-order
+//! chain). Dispatch is lock-free:
 //! the stack's entry list lives behind one `AtomicPtr` to an immutable
 //! snapshot, so the hot path pays a single acquire load — mutations
 //! build a new snapshot off to the side and swap it in (RCU style).
@@ -17,8 +18,9 @@
 //! attach order). Returning [`Action::Passthrough`] from `handle` *is*
 //! the `call_next` of stackable-hook designs: control falls to the next
 //! entry down. The first non-`Passthrough` decision wins and the rest
-//! of the stack is skipped for that event — exactly the
-//! `ChainHandler` contract, now with an ordering knob. `post` hooks run
+//! of the stack is skipped for that event. Earlier entries may rewrite
+//! the event for later ones (a redirect followed by a policy check
+//! sees the redirected fd). `post` hooks run
 //! in the same order, folding the return value top to bottom.
 //!
 //! # Interest recomputation protocol
@@ -134,7 +136,7 @@ impl HookStack {
     /// Whether this stack (through any clone) is the installed
     /// process-global handler, and mutations must therefore keep the
     /// global interest cache in sync. Detached stacks — including
-    /// chains under construction and stacks nested inside another
+    /// stacks under construction and stacks nested inside another
     /// handler — skip the cache entirely; their interest is read once
     /// at whatever point they *are* installed.
     fn is_installed(&self) -> bool {
@@ -409,5 +411,64 @@ mod tests {
         s.attach(Box::new(Add(0)), 0); // then: 21*2+0 = 42
         let ev = SyscallEvent::new(SyscallArgs::nullary(nr::GETPID));
         assert_eq!(s.post(&ev, 10), 42);
+    }
+
+    #[test]
+    fn interest_unions_children() {
+        use crate::FdRedirectHandler;
+        let s = HookStack::new();
+        s.attach(Box::new(FdRedirectHandler::new(1, 7)), 0);
+        s.attach(
+            Box::new(PolicyBuilder::allow_by_default().deny(nr::EXECVE).build()),
+            0,
+        );
+        let i = s.interest();
+        assert!(i.contains(nr::WRITE), "from the redirect");
+        assert!(i.contains(nr::EXECVE), "from the policy");
+        assert!(!i.contains(nr::READ));
+
+        // Any all-syscalls child (CountHandler keeps the default)
+        // widens the stack to everything.
+        let wide = HookStack::new();
+        wide.attach(Box::new(FdRedirectHandler::new(1, 7)), 0);
+        wide.attach(Box::new(CountHandler::new()), 0);
+        assert!(wide.interest().is_all());
+    }
+
+    #[test]
+    fn entries_above_a_decision_still_observe_it() {
+        let counter = CountHandler::new();
+        let observer = counter.clone();
+        let s = HookStack::new();
+        s.attach(Box::new(counter), 0);
+        s.attach(
+            Box::new(PolicyBuilder::allow_by_default().deny(nr::EXECVE).build()),
+            0,
+        );
+        let mut denied = SyscallEvent::new(SyscallArgs::nullary(nr::EXECVE));
+        assert_eq!(s.handle(&mut denied), Action::Fail(Errno::EPERM));
+        // The counter sat *before* the deny, so it observed the call
+        // the policy then refused.
+        assert_eq!(observer.count(nr::EXECVE), 1);
+    }
+
+    #[test]
+    fn earlier_rewrites_visible_to_later() {
+        use crate::FdRedirectHandler;
+        // Redirect fd 1 → 7, then deny writes to fd ≥ 3: the redirected
+        // call must be judged by its *rewritten* fd.
+        let s = HookStack::new();
+        s.attach(Box::new(FdRedirectHandler::new(1, 7)), 0);
+        s.attach(
+            Box::new(
+                PolicyBuilder::allow_by_default()
+                    .deny_write_to_fd_at_or_above(3)
+                    .build(),
+            ),
+            0,
+        );
+        let mut ev = SyscallEvent::new(SyscallArgs::new(nr::WRITE, [1, 0, 0, 0, 0, 0]));
+        assert_eq!(s.handle(&mut ev), Action::Fail(Errno::EBADF));
+        assert_eq!(ev.call.args[0], 7);
     }
 }

@@ -95,18 +95,12 @@ unsafe extern "C" fn preload_ctor() {
     // LP_HOOKS: wrap the mode handler in a runtime hook stack and load
     // every named library around it (mode handler anchors priority 0).
     let handler: Box<dyn SyscallHandler> = match std::env::var("LP_HOOKS") {
-        Ok(spec) if !spec.is_empty() => match hookabi::load_from_spec(&spec) {
+        Ok(spec) if !spec.is_empty() => match hookabi::stack_from_spec(&spec, handler) {
             Ok(loaded) => {
-                let stack = interpose::HookStack::new();
-                stack.attach(handler, 0);
-                for hook in loaded {
-                    let prio = hook.priority();
-                    stack.attach_dynamic(Box::new(hook), prio);
-                }
-                HOOKS_LOADED.store(stack.dynamic_len() as u64, Ordering::SeqCst);
-                Box::new(stack)
+                HOOKS_LOADED.store(loaded.stack.dynamic_len() as u64, Ordering::SeqCst);
+                Box::new(loaded.stack)
             }
-            Err(e) => {
+            Err((e, handler)) => {
                 // All-or-nothing: a partial policy stack is worse than
                 // none, so one bad spec entry disables the whole set.
                 eprintln!("lazypoline-preload: LP_HOOKS disabled ({e})");

@@ -34,13 +34,20 @@
 //! `sim:seccomp-user`, `sim:sud`, `sim:zpoline`, `sim:lazypoline-nox`,
 //! `sim:lazypoline`, `sim:lazypoline-hardened`.
 //!
-//! Dynamic (parsed by [`by_name`], composed over the rows above):
-//! `<base>+record` (flight recorder around any backend),
-//! `replay:<trace-path>` (deterministic replay of a recorded trace),
-//! `<base>+hooks` (a runtime [`interpose::HookStack`] as the
-//! handler, loading every `lp_hook_v1` library named by `LP_HOOKS`),
-//! and `<base>+sfip` (syscall-flow-integrity enforcement of a learned
-//! `LPSFIP1` policy named by `LP_SFIP_POLICY`).
+//! Layered (parsed by [`by_name`], composed over the rows above):
+//! `<base>(+layer)*` stacks any of three layers, each at most once and
+//! in any order, over a static base; the rightmost layer is outermost
+//! and sees an event first:
+//!
+//! | layer | wraps the handler in |
+//! |-------|----------------------|
+//! | `+record` | the flight recorder (`LP_TRACE_OUT` names the trace file) |
+//! | `+hooks` | a runtime [`interpose::HookStack`] loading every `lp_hook_v1` library named by `LP_HOOKS` |
+//! | `+sfip` | syscall-flow-integrity enforcement of the `LPSFIP1` policy named by `LP_SFIP_POLICY` |
+//!
+//! `lazypoline+sfip+record` enforces a learned policy and keeps an
+//! rr-style trace. `replay:<trace-path>` replays a recorded trace
+//! deterministically and takes no suffixes.
 //!
 //! # One-way caveats
 //!
@@ -55,15 +62,12 @@
 
 #![deny(missing_docs)]
 
-mod hooks;
+mod layers;
 mod native;
-mod record_replay;
-mod sfip;
 mod sim;
 
 use interpose::SyscallHandler;
-pub use hooks::{HOOKS_ENV, HOOKS_WATCH_ENV};
-pub use record_replay::TRACE_OUT_ENV;
+pub use layers::{HOOKS_ENV, HOOKS_WATCH_ENV, TRACE_OUT_ENV};
 pub use replay;
 pub use sim_interpose::{Efficiency, Expressiveness, Traits};
 pub use zpoline::XstateMask;
@@ -106,10 +110,10 @@ pub enum InstallError {
     Init(lazypoline::InitError),
     /// A raw kernel interface (prctl/sigaction) failed.
     Io(std::io::Error),
-    /// A `<base>+hooks` backend could not load a hook library named by
+    /// A `+hooks` layer could not load a hook library named by
     /// `LP_HOOKS` (bad spec, dlopen failure, ABI mismatch, …).
     Hook(hookabi::HookLoadError),
-    /// A `<base>+sfip` backend could not load the policy named by
+    /// A `+sfip` layer could not load the policy named by
     /// `LP_SFIP_POLICY` (missing path, bad magic/version/geometry,
     /// unknown `LP_SFIP_POLICY_ACTION`, …).
     Policy(::sfip::PolicyError),
@@ -186,7 +190,7 @@ pub struct StatsSnapshot {
     /// Interposer handlers quarantined after panicking.
     pub quarantined_handlers: u64,
     /// Syscall events the flight recorder captured (nonzero only under
-    /// a `<base>+record` backend or a manually installed recorder).
+    /// a `+record` layer or a manually installed recorder).
     pub events_recorded: u64,
     /// Syscall events the flight recorder dropped to its overflow
     /// policy.
@@ -214,22 +218,22 @@ pub struct StatsSnapshot {
     /// (nonzero only with the pkey layer armed).
     pub pkru_switches: u64,
     /// Dynamically loaded hooks currently attached to the handler stack
-    /// (a gauge, not a delta; nonzero only under `<base>+hooks`).
+    /// (a gauge, not a delta; nonzero only under a `+hooks` layer).
     pub hooks_loaded: u64,
     /// Syscall events dispatched into dynamically loaded hooks since
     /// install (one count per hook per event that reaches it).
     pub hook_dispatches: u64,
     /// Hook libraries reloaded by the `LP_HOOKS_WATCH` mtime watcher
-    /// since install (nonzero only under `<base>+hooks` with the
+    /// since install (nonzero only under a `+hooks` layer with the
     /// watcher enabled).
     pub hook_reloads: u64,
     /// Syscall-flow transition checks performed since install (nonzero
-    /// only under `<base>+sfip`).
+    /// only under a `+sfip` layer).
     pub sfip_checks: u64,
     /// Syscall-flow violations observed since install (nonzero only
-    /// under `<base>+sfip`).
+    /// under a `+sfip` layer).
     pub sfip_violations: u64,
-    /// The `<base>+sfip` violation action (`kill`|`quarantine`|`count`;
+    /// The `+sfip` layer's violation action (`kill`|`quarantine`|`count`;
     /// empty for other backends).
     pub sfip_mode: &'static str,
 }
@@ -266,10 +270,7 @@ pub struct ActiveMechanism {
 pub(crate) enum Inner {
     Native(Box<native::NativeActive>),
     Sim(sim::SimActive),
-    Record(Box<record_replay::RecordActive>),
-    Replay(Box<record_replay::ReplayActive>),
-    Hooks(Box<hooks::HooksActive>),
-    Sfip(Box<sfip::SfipActive>),
+    Layered(Box<layers::LayeredActive>),
 }
 
 impl ActiveMechanism {
@@ -287,52 +288,51 @@ impl ActiveMechanism {
         match &self.inner {
             Inner::Native(n) => n.snapshot(self.name),
             Inner::Sim(s) => s.snapshot(self.name),
-            Inner::Record(r) => r.snapshot(self.name),
-            Inner::Replay(r) => r.snapshot(self.name),
-            Inner::Hooks(h) => h.snapshot(self.name),
-            Inner::Sfip(s) => s.snapshot(self.name),
+            Inner::Layered(l) => l.snapshot(self.name),
         }
     }
 
-    /// The runtime hook stack of a `<base>+hooks` backend — a clone
-    /// shares state with the installed handler, so attaching/detaching
-    /// through it mutates live dispatch. `None` for other backends.
-    pub fn hook_stack(&self) -> Option<&interpose::HookStack> {
+    fn layered(&self) -> Option<&layers::LayeredActive> {
         match &self.inner {
-            Inner::Hooks(h) => Some(h.stack()),
+            Inner::Layered(l) => Some(l),
             _ => None,
         }
     }
 
-    /// The dynamically loaded hooks of a `<base>+hooks` backend:
+    /// The runtime hook stack of a `+hooks` backend — a clone shares
+    /// state with the installed handler, so attaching/detaching through
+    /// it mutates live dispatch. `None` for other backends.
+    pub fn hook_stack(&self) -> Option<&interpose::HookStack> {
+        Some(&self.layered()?.hooks()?.stack)
+    }
+
+    /// The dynamically loaded hooks of a `+hooks` backend:
     /// `(id, name, priority)` per hook, in load order. Empty for other
     /// backends.
     pub fn loaded_hooks(&self) -> Vec<(interpose::HookId, String, i32)> {
-        match &self.inner {
-            Inner::Hooks(h) => h.loaded(),
-            _ => Vec::new(),
-        }
+        self.layered()
+            .and_then(|l| l.hooks())
+            .map_or_else(Vec::new, |h| h.loaded())
     }
 
     /// Detaches one dynamically loaded hook mid-flight: removes it from
     /// the stack (narrowing the interest cache after the swap) and runs
     /// its `fini`. Returns `false` if the id is unknown or already
-    /// detached, or the backend is not `<base>+hooks`.
+    /// detached, or the backend has no `+hooks` layer.
     pub fn detach_hook(&mut self, id: interpose::HookId) -> bool {
-        match &mut self.inner {
-            Inner::Hooks(h) => h.detach_hook(id),
-            _ => false,
-        }
+        self.layered()
+            .and_then(|l| l.hooks())
+            .is_some_and(|h| h.detach_hook(id))
     }
 
-    /// Ends a `<base>+record` backend's trace session early, returning
-    /// the summary (events written, events dropped). `None` for other
+    /// Ends a `+record` backend's trace session early, returning the
+    /// summary (events written, events dropped). `None` for other
     /// backends, or when no trace file was requested
     /// (`LP_TRACE_OUT` unset), or after the session already finished.
     /// Without this call the session finishes on drop, best-effort.
     pub fn finish_recording(&mut self) -> Option<std::io::Result<replay::RecordSummary>> {
         match &mut self.inner {
-            Inner::Record(r) => r.finish_recording(),
+            Inner::Layered(l) => Some(l.recorder()?.take()?.finish()),
             _ => None,
         }
     }
@@ -340,19 +340,13 @@ impl ActiveMechanism {
     /// The first divergence a `replay:<path>` backend observed, if any.
     /// `None` for other backends or while the replay is on-script.
     pub fn replay_divergence(&self) -> Option<replay::Divergence> {
-        match &self.inner {
-            Inner::Replay(r) => r.first_divergence(),
-            _ => None,
-        }
+        self.replay_state()?.first_divergence()
     }
 
     /// The shared replay progress state of a `replay:<path>` backend
     /// (trace length, cursor position, divergence count).
     pub fn replay_state(&self) -> Option<&std::sync::Arc<replay::ReplayState>> {
-        match &self.inner {
-            Inner::Replay(r) => Some(r.state()),
-            _ => None,
-        }
+        self.layered()?.replay_state()
     }
 
     /// Stops interposing on the calling thread while keeping the
@@ -363,10 +357,7 @@ impl ActiveMechanism {
     pub fn detach(&mut self) {
         match &mut self.inner {
             Inner::Native(n) => n.detach(),
-            Inner::Record(r) => r.detach(),
-            Inner::Replay(r) => r.detach(),
-            Inner::Hooks(h) => h.detach(),
-            Inner::Sfip(s) => s.detach(),
+            Inner::Layered(l) => l.base.detach(),
             Inner::Sim(_) => {}
         }
     }
@@ -378,10 +369,7 @@ impl ActiveMechanism {
     pub fn set_xstate(&mut self, mask: XstateMask) -> bool {
         match &mut self.inner {
             Inner::Native(n) => n.set_xstate(mask),
-            Inner::Record(r) => r.set_xstate(mask),
-            Inner::Replay(r) => r.set_xstate(mask),
-            Inner::Hooks(h) => h.set_xstate(mask),
-            Inner::Sfip(s) => s.set_xstate(mask),
+            Inner::Layered(l) => l.base.set_xstate(mask),
             Inner::Sim(_) => false,
         }
     }
@@ -394,10 +382,16 @@ impl ActiveMechanism {
     pub fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
         match &mut self.inner {
             Inner::Sim(s) => s.run(program),
-            Inner::Record(r) => r.run_program(program),
-            Inner::Replay(r) => r.run_program(program),
-            Inner::Hooks(h) => h.run_program(program),
-            Inner::Sfip(s) => s.run_program(program),
+            Inner::Layered(l) => {
+                let out = l.base.run_program(program);
+                // Drain between guest runs so rings never overflow
+                // across a multi-run session (each sim run can observe
+                // more events than one ring holds).
+                if let Some(Some(rec)) = l.recorder() {
+                    let _ = rec.drain();
+                }
+                out
+            }
             Inner::Native(_) => Err(RunError::NotSimulated),
         }
     }
@@ -418,33 +412,37 @@ pub fn names() -> Vec<&'static str> {
 
 /// Looks a backend up by registry key.
 ///
-/// Besides the static names above, two **dynamic** name forms are
-/// recognised (constructed on first lookup, cached for the process):
+/// Besides the static names above, two **layered** name forms are
+/// recognised (parsed on first lookup, cached for the process):
 ///
-/// * `<base>+record` — any static backend with the flight recorder
-///   composed around the handler (e.g. `lazypoline+record`,
-///   `sim:lazypoline+record`). Set `LP_TRACE_OUT=<path>` to also drain
-///   the rings into a trace file.
+/// * `<base>(+layer)*` — any static backend with layers stacked around
+///   the handler, each suffix wrapping what the ones before it built
+///   (e.g. `lazypoline+record`, `sim:lazypoline+hooks`,
+///   `lazypoline+sfip+record`). `+record` mirrors every syscall into
+///   the flight recorder (`LP_TRACE_OUT=<path>` also drains the rings
+///   into a trace file); `+hooks` runs the handler at priority 0 of a
+///   runtime [`interpose::HookStack`] plus every `lp_hook_v1` library
+///   named by `LP_HOOKS`; `+sfip` checks each transition against the
+///   `LPSFIP1` policy named by `LP_SFIP_POLICY`, with
+///   `LP_SFIP_POLICY_ACTION=kill|quarantine|count` on violation. A
+///   duplicate or unknown suffix does not resolve.
 /// * `replay:<trace-path>` — deterministic replay of a recorded trace;
 ///   the base mechanism comes from the trace header's source mechanism
-///   (override with `LP_REPLAY_BASE`).
-/// * `<base>+hooks` — any static backend with a runtime
-///   [`interpose::HookStack`] as its handler (e.g. `lazypoline+hooks`,
-///   `sim:lazypoline+hooks`): the compiled-in handler at priority 0
-///   plus every `lp_hook_v1` library named by `LP_HOOKS`.
-/// * `<base>+sfip` — any static backend with syscall-flow-integrity
-///   enforcement around the handler: the `LPSFIP1` policy named by
-///   `LP_SFIP_POLICY` is checked per transition, with
-///   `LP_SFIP_POLICY_ACTION=kill|quarantine|count` on violation.
+///   (override with `LP_REPLAY_BASE`). Everything after the colon is
+///   the path.
 pub fn by_name(name: &str) -> Option<&'static dyn Mechanism> {
-    static_by_name(name)
-        .or_else(|| record_replay::dynamic_by_name(name))
-        .or_else(|| hooks::dynamic_by_name(name))
-        .or_else(|| sfip::dynamic_by_name(name))
+    static_by_name(name).or_else(|| layers::by_name(name))
 }
 
-/// Static-registry lookup only — used internally so dynamic backends
-/// resolve their base without recursing into the dynamic parser.
+/// Whether `name` is a layered backend name carrying the `+<layer>`
+/// suffix anywhere among its layers, e.g. `"sfip"` in
+/// `lazypoline+sfip+record`.
+pub fn has_layer(name: &str, layer: &str) -> bool {
+    layers::has_layer(name, layer)
+}
+
+/// Static-registry lookup only — used internally so layered backends
+/// resolve their base without recursing into the layer parser.
 pub(crate) fn static_by_name(name: &str) -> Option<&'static dyn Mechanism> {
     all().find(|m| m.name() == name)
 }
@@ -471,12 +469,17 @@ pub struct UnknownMechanism(pub String);
 
 impl std::fmt::Display for UnknownMechanism {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let layers: Vec<String> = layers::LayerKind::ALL
+            .iter()
+            .map(|k| format!("+{}", k.suffix()))
+            .collect();
         write!(
             f,
-            "unknown mechanism {:?} (valid: {}; dynamic forms: \
-             <base>+record, replay:<trace-path>, <base>+hooks, <base>+sfip)",
+            "unknown mechanism {:?} (bases: {}; layered: <base>(+layer)*, each layer at \
+             most once, layers: {}; or replay:<trace-path>)",
             self.0,
-            names().join(", ")
+            names().join(", "),
+            layers.join(", ")
         )
     }
 }
@@ -566,15 +569,75 @@ mod tests {
         assert!(by_name("no-such-mechanism").is_none());
         let err = UnknownMechanism("no-such-mechanism".into()).to_string();
         assert!(err.contains("lazypoline"), "error lists valid names: {err}");
-        // The dynamic name forms are part of the valid vocabulary and
-        // must appear in the error too.
+        // The layered grammar, every layer name and the replay form
+        // are part of the valid vocabulary and must appear in the
+        // error too.
         for form in [
-            "<base>+record",
+            "<base>(+layer)*",
+            "+record",
+            "+hooks",
+            "+sfip",
             "replay:<trace-path>",
-            "<base>+hooks",
-            "<base>+sfip",
         ] {
-            assert!(err.contains(form), "error lists dynamic form {form}: {err}");
+            assert!(err.contains(form), "error lists layered form {form}: {err}");
+        }
+    }
+
+    #[test]
+    fn layered_names_compose_over_every_base() {
+        // Every ordering of one, two and three distinct layers.
+        let one = layers::LayerKind::ALL.map(|k| format!("+{}", k.suffix()));
+        let mut all = one.to_vec();
+        for a in &one {
+            for b in one.iter().filter(|b| *b != a) {
+                all.push(format!("{a}{b}"));
+                for c in one.iter().filter(|c| *c != a && *c != b) {
+                    all.push(format!("{a}{b}{c}"));
+                }
+            }
+        }
+        assert_eq!(all.len(), 3 + 6 + 6);
+        for base in names() {
+            let b = by_name(base).unwrap();
+            for suffixes in &all {
+                let name = format!("{base}{suffixes}");
+                let m = by_name(&name).unwrap_or_else(|| panic!("{name} does not resolve"));
+                assert_eq!(m.name(), name);
+                assert_eq!(m.traits(), b.traits(), "{name}");
+                assert_eq!(m.is_available(), b.is_available(), "{name}");
+                assert!(std::ptr::eq(m, by_name(&name).unwrap()), "{name}: cached");
+                for layer in layers::LayerKind::ALL.map(|k| k.suffix()) {
+                    assert_eq!(has_layer(&name, layer), suffixes.contains(layer), "{name}");
+                }
+            }
+        }
+        // The production composition: enforce and keep the trace.
+        assert!(has_layer("lazypoline+sfip+record", "record"));
+        assert!(!has_layer("lazypoline", "record"));
+
+        // Replay keeps its prefix form; the path is everything after
+        // the colon, `+` included, and takes no layers.
+        for name in ["replay:/tmp/a.lpt", "replay:/tmp/a+record.lpt"] {
+            let m = by_name(name).unwrap_or_else(|| panic!("{name} does not resolve"));
+            assert_eq!(m.name(), name);
+            assert_eq!(m.traits().name, "deterministic replay");
+            assert!(m.is_available());
+            assert!(!has_layer(name, "record"));
+            assert!(std::ptr::eq(m, by_name(name).unwrap()));
+        }
+
+        for bad in [
+            "lazypoline+record+record",
+            "sim:lazypoline+sfip+hooks+sfip",
+            "lazypoline+bogus",
+            "lazypoline+record+bogus",
+            "no-such-base+record",
+            "lazypoline+",
+            "lazypoline+record+",
+            "+record",
+            "replay:",
+        ] {
+            assert!(by_name(bad).is_none(), "{bad} must not resolve");
         }
     }
 

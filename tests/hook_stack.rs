@@ -2,10 +2,11 @@
 //! cdylibs, every load failure mode, panic quarantine for loaded hooks,
 //! and attach/detach racing a dispatch-heavy workload.
 //!
-//! The example hook libraries under `examples/hook_*` are workspace
-//! default-members, so `target/<profile>/libhook_*.so` exists by the
-//! time this test binary links; `hookabi::resolve_library` finds them
-//! from the test binary's own path (`target/<profile>/deps/...`). None
+//! The example hook libraries under `examples/hook_*` are dev-dependencies
+//! of the root package, so `cargo test` builds `libhook_*.so` into
+//! `target/<profile>/deps` before this test binary links;
+//! `hookabi::resolve_library` finds them from the test binary's own
+//! path. None
 //! of these tests need a native engine — they drive the registry's
 //! dispatch sequence (`interpose_syscall`) directly, which is the same
 //! decision path the engines run.

@@ -1035,10 +1035,11 @@ fn scenario_mechanism_smoke() {
     // a small workload, and tear down cleanly.
     let backend = mechanism::from_env()
         .unwrap_or_else(|e| panic!("LP_MECHANISM must name a registered mechanism: {e}"));
-    // `<base>+sfip` rows need a policy at install. CI's enforce rows
-    // export a learned LP_SFIP_POLICY; when the harness didn't, an
-    // allow-everything policy keeps the row exercising the check path
-    // (counted per syscall) without constraining the workload.
+    // Names with an `+sfip` layer need a policy at install. CI's
+    // enforce rows export a learned LP_SFIP_POLICY; when the harness
+    // didn't, an allow-everything policy keeps the row exercising the
+    // check path (counted per syscall) without constraining the
+    // workload.
     struct Scratch(Option<std::path::PathBuf>);
     impl Drop for Scratch {
         fn drop(&mut self) {
@@ -1048,7 +1049,9 @@ fn scenario_mechanism_smoke() {
         }
     }
     let mut scratch = Scratch(None);
-    if backend.name().ends_with("+sfip") && std::env::var_os(sfip::POLICY_ENV).is_none() {
+    if mechanism::has_layer(backend.name(), "sfip")
+        && std::env::var_os(sfip::POLICY_ENV).is_none()
+    {
         let path = std::env::temp_dir().join(format!("lp-smoke-{}.sfip", std::process::id()));
         sfip::Policy::allow_all("smoke").save(&path).expect("policy saves");
         std::env::set_var(sfip::POLICY_ENV, &path);
@@ -1067,7 +1070,7 @@ fn scenario_mechanism_smoke() {
             .run_program(&sim_workloads::bench::microbench(50))
             .expect("sim run");
         assert_eq!(outcome.exit, 0, "{}: bad exit", active.mechanism_name());
-        if active.mechanism_name().ends_with("+hooks") {
+        if mechanism::has_layer(active.mechanism_name(), "hooks") {
             let s = active.stats();
             assert!(
                 s.hooks_loaded > 0,
@@ -1075,7 +1078,7 @@ fn scenario_mechanism_smoke() {
                 active.mechanism_name()
             );
         }
-        if active.mechanism_name().ends_with("+sfip") {
+        if mechanism::has_layer(active.mechanism_name(), "sfip") {
             let s = active.stats();
             assert!(
                 s.sfip_checks > 0,
@@ -1111,7 +1114,7 @@ fn scenario_mechanism_smoke() {
     std::fs::remove_file(&tmp).unwrap();
     active.detach();
     let stats = active.stats();
-    if active.mechanism_name().ends_with("+hooks") {
+    if mechanism::has_layer(active.mechanism_name(), "hooks") {
         assert!(
             stats.hooks_loaded > 0,
             "{}: LP_HOOKS loaded no hooks — the matrix row is vacuous",
@@ -1119,7 +1122,7 @@ fn scenario_mechanism_smoke() {
         );
         assert!(stats.hook_dispatches > 0, "loaded hooks saw no syscalls");
     }
-    if active.mechanism_name().ends_with("+sfip") {
+    if mechanism::has_layer(active.mechanism_name(), "sfip") {
         assert!(
             stats.sfip_checks > 0,
             "{}: no syscalls were flow-checked — the matrix row is vacuous",

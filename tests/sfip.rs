@@ -259,3 +259,184 @@ fn policy_roundtrips_through_the_on_disk_format() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// Learns the JIT automaton and exports it (count mode) for the next
+/// install; returns the policy path.
+fn export_jit_policy(tag: &str) -> PathBuf {
+    let records = record_jit(tag);
+    let policy = sfip::Policy::learn(&records, "sim:lazypoline").expect("jit trace learns");
+    let path = temp(tag, "sfip");
+    policy.save(&path).expect("policy saves");
+    std::env::set_var(sfip::POLICY_ENV, &path);
+    std::env::set_var(sfip::ACTION_ENV, "count");
+    path
+}
+
+#[test]
+fn sfip_and_record_compose_and_the_trace_replays() {
+    let _g = sfip_lock();
+    let policy = export_jit_policy("compose");
+    let trace = temp("compose", "lpt");
+    std::env::set_var("LP_TRACE_OUT", &trace);
+    let name = "sim:lazypoline+sfip+record";
+    let mut active = mechanism::by_name(name)
+        .expect("layers compose")
+        .install(Box::new(interpose::PassthroughHandler))
+        .expect("a learned policy installs under the recorder");
+    std::env::remove_var("LP_TRACE_OUT");
+    std::env::remove_var(sfip::POLICY_ENV);
+    std::env::remove_var(sfip::ACTION_ENV);
+
+    let out = active
+        .run_program(&sim_workloads::jit::build())
+        .expect("guest runs");
+    assert_eq!(out.exit, 0);
+    // One snapshot carries both layers' counters.
+    let stats = active.stats();
+    assert_eq!(stats.mechanism, name);
+    assert!(stats.events_recorded > 0, "{stats:?}");
+    assert_eq!(stats.sfip_checks, out.observed.len() as u64, "{stats:?}");
+    assert!(stats.sfip_checks > 0);
+    assert_eq!(stats.sfip_violations, 0);
+    assert_eq!(stats.sfip_mode, "count");
+    assert!(active.hook_stack().is_none());
+    let summary = active
+        .finish_recording()
+        .expect("a trace session is active")
+        .expect("trace finishes");
+    assert_eq!(summary.events, stats.events_recorded);
+    drop(active);
+
+    // The header names the static base, so `replay:` resolves it.
+    let replay_name = format!("replay:{}", trace.display());
+    let mut replay = mechanism::by_name(&replay_name)
+        .expect("replay name parses")
+        .install(Box::new(interpose::PassthroughHandler))
+        .expect("the composed trace loads");
+    let state = replay.replay_state().expect("replay backend").clone();
+    assert_eq!(state.header().source_mechanism, "sim:lazypoline");
+    let out = replay
+        .run_program(&sim_workloads::jit::build())
+        .expect("replay base is simulated");
+    assert_eq!(out.exit, 0);
+    assert_eq!(
+        state.position(),
+        state.len(),
+        "the whole trace was consumed"
+    );
+    assert_eq!(state.divergences(), 0);
+    assert!(replay.replay_divergence().is_none());
+    assert_eq!(replay.stats().replay_divergences, 0);
+    drop(replay);
+    std::fs::remove_file(&trace).unwrap();
+    std::fs::remove_file(&policy).unwrap();
+}
+
+#[test]
+fn failed_layer_leaves_no_recorder_session_open() {
+    let _g = sfip_lock();
+    std::env::remove_var(sfip::POLICY_ENV);
+    let trace = temp("no_session", "lpt");
+    std::env::set_var("LP_TRACE_OUT", &trace);
+    match mechanism::by_name("sim:lazypoline+record+sfip")
+        .expect("layers compose")
+        .install(Box::new(interpose::PassthroughHandler))
+    {
+        Err(mechanism::InstallError::Policy(sfip::PolicyError::NoPolicyPath)) => {}
+        Err(other) => panic!("expected NoPolicyPath, got {other}"),
+        Ok(_) => panic!("install without a policy cannot succeed"),
+    }
+    assert!(
+        !trace.exists(),
+        "the trace session opens only after every layer prepared"
+    );
+
+    // No session was left open: the next recorder installs.
+    let mut active = mechanism::by_name("sim:lazypoline+record")
+        .unwrap()
+        .install(Box::new(interpose::PassthroughHandler))
+        .expect("no stale recorder session blocks this one");
+    std::env::remove_var("LP_TRACE_OUT");
+    active
+        .finish_recording()
+        .expect("a trace session is active")
+        .expect("trace finishes");
+    drop(active);
+    std::fs::remove_file(&trace).unwrap();
+}
+
+#[test]
+fn every_layer_ordering_installs_over_every_sim_base() {
+    let _g = sfip_lock();
+    let policy = temp("orderings", "sfip");
+    sfip::Policy::allow_all("orderings").save(&policy).unwrap();
+    std::env::set_var(sfip::POLICY_ENV, &policy);
+    std::env::set_var(sfip::ACTION_ENV, "count");
+    std::env::set_var(mechanism::HOOKS_ENV, "hook_count");
+    let trace = temp("orderings", "lpt");
+    let layers = ["+record", "+hooks", "+sfip"];
+    let mut orderings: Vec<String> = layers.iter().map(|l| l.to_string()).collect();
+    for a in layers {
+        for b in layers.iter().filter(|b| **b != a) {
+            orderings.push(format!("{a}{b}"));
+            let c = layers.iter().find(|c| **c != a && *c != b).unwrap();
+            orderings.push(format!("{a}{b}{c}"));
+        }
+    }
+    assert_eq!(orderings.len(), 15);
+
+    for base in mechanism::names()
+        .into_iter()
+        .filter(|n| n.starts_with("sim:"))
+    {
+        for layers in &orderings {
+            let name = format!("{base}{layers}");
+            std::env::set_var("LP_TRACE_OUT", &trace);
+            let mut active = mechanism::by_name(&name)
+                .unwrap_or_else(|| panic!("{name} does not resolve"))
+                .install(Box::new(interpose::PassthroughHandler))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let out = active
+                .run_program(&sim_workloads::bench::microbench(20))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(out.exit, 0, "{name}");
+            let s = active.stats();
+            assert_eq!(s.mechanism, name);
+            assert_eq!(s.dispatches, out.observed.len() as u64, "{name}");
+            // Mechanisms that cannot observe (seccomp-bpf, baselines)
+            // never reach the handler, so no layer sees an event.
+            let seen = !out.observed.is_empty();
+            if layers.contains("+record") {
+                assert_eq!(s.events_recorded > 0, seen, "{name}: {s:?}");
+                active
+                    .finish_recording()
+                    .expect("session")
+                    .expect("finishes");
+            } else {
+                assert!(active.finish_recording().is_none(), "{name}");
+            }
+            if layers.contains("+hooks") {
+                assert_eq!(s.hooks_loaded, 1, "{name}: hook_count loads");
+                assert_eq!(s.hook_dispatches > 0, seen, "{name}: {s:?}");
+                assert_eq!(active.loaded_hooks().len(), 1, "{name}");
+            } else {
+                assert!(active.hook_stack().is_none(), "{name}");
+            }
+            if layers.contains("+sfip") {
+                assert_eq!(s.sfip_checks, out.observed.len() as u64, "{name}: {s:?}");
+            } else {
+                assert_eq!(s.sfip_mode, "", "{name}");
+            }
+        }
+    }
+    for var in [
+        "LP_TRACE_OUT",
+        sfip::POLICY_ENV,
+        sfip::ACTION_ENV,
+        mechanism::HOOKS_ENV,
+    ] {
+        std::env::remove_var(var);
+    }
+    let _ = std::fs::remove_file(&trace);
+    std::fs::remove_file(&policy).unwrap();
+}
