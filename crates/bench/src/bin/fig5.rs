@@ -117,7 +117,7 @@ fn print_tables(sweep: &SweepConfig, results: &Fig5Results) {
                 format_us(c.p99_ns),
                 format_us(c.p999_ns),
                 c.errors.to_string(),
-                c.events_dropped.to_string(),
+                c.stats.events_dropped.to_string(),
             ]);
         }
     }
@@ -164,9 +164,9 @@ fn to_json(sweep: &SweepConfig, results: &Fig5Results) -> Json {
                         .field("p50_ns", Json::Int(c.p50_ns))
                         .field("p99_ns", Json::Int(c.p99_ns))
                         .field("p999_ns", Json::Int(c.p999_ns))
-                        .field("events_recorded", Json::Int(c.events_recorded))
-                        .field("events_dropped", Json::Int(c.events_dropped))
-                        .field("drain_shards", Json::Int(c.drain_shards))
+                        .field("events_recorded", Json::Int(c.stats.events_recorded))
+                        .field("events_dropped", Json::Int(c.stats.events_dropped))
+                        .field("drain_shards", Json::Int(c.stats.drain_shards))
                         .field(
                             "shard_drained",
                             Json::Arr(c.shard_drained.iter().map(|&d| Json::Int(d)).collect()),

@@ -27,48 +27,13 @@ const PAPER: &[(&str, f64)] = &[
 ];
 
 /// Attaches a row's mechanism counter snapshot (install-to-teardown
-/// deltas, including the PR-2 robustness counters) to its JSON object.
+/// deltas) and its recorder drop rate to its JSON object.
 fn with_stats(row: Json, stats: Option<&mechanism::StatsSnapshot>) -> Json {
     let Some(s) = stats else { return row };
-    let observed = s.events_recorded + s.events_dropped;
-    let drop_rate = if observed == 0 {
-        0.0
-    } else {
-        s.events_dropped as f64 / observed as f64
-    };
-    row.field("drop_rate", Json::Num(drop_rate)).field(
-        "mechanism_stats",
-        Json::obj()
-            .field("mechanism", Json::Str(s.mechanism.into()))
-            .field("dispatches", Json::Int(s.dispatches))
-            .field("slow_path_hits", Json::Int(s.slow_path_hits))
-            .field("sites_patched", Json::Int(s.sites_patched))
-            .field("unpatchable_emulations", Json::Int(s.unpatchable_emulations))
-            .field(
-                "disabled_mode_emulations",
-                Json::Int(s.disabled_mode_emulations),
-            )
-            .field("signals_wrapped", Json::Int(s.signals_wrapped))
-            .field("patch_retries", Json::Int(s.patch_retries))
-            .field("pages_blocklisted", Json::Int(s.pages_blocklisted))
-            .field("quarantined_handlers", Json::Int(s.quarantined_handlers))
-            .field("events_recorded", Json::Int(s.events_recorded))
-            .field("events_dropped", Json::Int(s.events_dropped))
-            .field("events_spilled", Json::Int(s.events_spilled))
-            .field("ring_grows", Json::Int(s.ring_grows))
-            .field("ring_near_full", Json::Int(s.ring_near_full))
-            .field("drain_yields", Json::Int(s.drain_yields))
-            .field("drain_shards", Json::Int(s.drain_shards))
-            .field("replay_divergences", Json::Int(s.replay_divergences))
-            .field("bypass_blocked", Json::Int(s.bypass_blocked))
-            .field("pkru_switches", Json::Int(s.pkru_switches))
-            .field("hooks_loaded", Json::Int(s.hooks_loaded))
-            .field("hook_dispatches", Json::Int(s.hook_dispatches))
-            .field("hook_reloads", Json::Int(s.hook_reloads))
-            .field("sfip_checks", Json::Int(s.sfip_checks))
-            .field("sfip_violations", Json::Int(s.sfip_violations))
-            .field("sfip_mode", Json::Str(s.sfip_mode.into())),
-    )
+    let observed = (s.events_recorded + s.events_dropped).max(1);
+    let drop_rate = s.events_dropped as f64 / observed as f64;
+    row.field("drop_rate", Json::Num(drop_rate))
+        .field("mechanism_stats", Json::from(s))
 }
 
 fn main() {
@@ -92,7 +57,7 @@ fn main() {
 
     // The hardened row runs in a re-exec'd child so its one-way seccomp
     // filter cannot leak into this process's remaining measurements.
-    let hardened = results.as_ref().and_then(|_| micro::run_hardened_row());
+    let hardened = results.as_ref().map(|_| micro::run_hardened_row());
 
     if let Some(results) = &results {
         println!(
@@ -117,7 +82,7 @@ fn main() {
             ]);
             max_sd = max_sd.max(sd);
         }
-        if let Some(h) = &hardened {
+        if let Some(Ok(h)) = &hardened {
             let ratio = h.measurement.cycles() / results.baseline.cycles();
             table.row([
                 h.measurement.name.to_string(),
@@ -129,11 +94,13 @@ fn main() {
             max_sd = max_sd.max(h.measurement.stddev_pct());
         }
         print!("{}", table.render());
-        if let Some(h) = &hardened {
-            println!(
+        match &hardened {
+            Some(Ok(h)) => println!(
                 "hardened row: level {}, {} pkru switch(es), {} bypass(es) blocked (child process)",
                 h.harden_level, h.stats.pkru_switches, h.stats.bypass_blocked
-            );
+            ),
+            Some(Err(reason)) => println!("hardened row: not measured ({reason})"),
+            None => {}
         }
         println!(
             "\nbaseline: {:.0} cycles/call; max relative stddev {:.2}%",
@@ -279,11 +246,10 @@ fn main() {
                     results.snapshot_for(name),
                 ));
             }
-            if let Some(h) = &hardened {
-                rows.push(with_stats(
-                    Json::obj()
-                        .field("name", Json::Str("lazypoline-hardened".into()))
-                        .field("cycles_per_call", Json::Num(h.measurement.cycles()))
+            let row = Json::obj().field("name", Json::Str("lazypoline-hardened".into()));
+            match &hardened {
+                Some(Ok(h)) => rows.push(with_stats(
+                    row.field("cycles_per_call", Json::Num(h.measurement.cycles()))
                         .field(
                             "vs_baseline",
                             Json::Num(h.measurement.cycles() / results.baseline.cycles()),
@@ -291,7 +257,9 @@ fn main() {
                         .field("stddev_pct", Json::Num(h.measurement.stddev_pct()))
                         .field("harden_level", Json::Str(h.harden_level.clone())),
                     Some(&h.stats),
-                ));
+                )),
+                Some(Err(reason)) => rows.push(row.field("skipped", Json::Str(reason.to_string()))),
+                None => {}
             }
             root = root
                 .field("iters", Json::Int(results.iters))
@@ -358,5 +326,55 @@ fn main() {
         }
         std::fs::write("BENCH_table2.json", root.render()).expect("write BENCH_table2.json");
         println!("\nwrote BENCH_table2.json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mechanism_stats_keys_are_the_counter_table() {
+        let row = with_stats(Json::obj(), Some(&mechanism::StatsSnapshot::default()));
+        let Json::Obj(row) = row else { unreachable!() };
+        let Some((_, Json::Obj(fields))) = row.iter().find(|(k, _)| k == "mechanism_stats") else {
+            panic!("row carries a mechanism_stats object: {row:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let names: Vec<&str> = mechanism::ROWS.iter().map(|r| r.name).collect();
+        assert_eq!(keys, names);
+        // The key set BENCH_table2.json consumers read.
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        let mut expected = [
+            "mechanism",
+            "dispatches",
+            "slow_path_hits",
+            "sites_patched",
+            "unpatchable_emulations",
+            "disabled_mode_emulations",
+            "signals_wrapped",
+            "patch_retries",
+            "pages_blocklisted",
+            "quarantined_handlers",
+            "events_recorded",
+            "events_dropped",
+            "events_spilled",
+            "ring_grows",
+            "ring_near_full",
+            "drain_yields",
+            "drain_shards",
+            "replay_divergences",
+            "bypass_blocked",
+            "pkru_switches",
+            "hooks_loaded",
+            "hook_dispatches",
+            "hook_reloads",
+            "sfip_checks",
+            "sfip_violations",
+            "sfip_mode",
+        ];
+        expected.sort_unstable();
+        assert_eq!(sorted, expected);
     }
 }

@@ -107,6 +107,17 @@ impl Json {
     }
 }
 
+/// A mechanism snapshot: one key per counter-table row.
+impl From<&mechanism::StatsSnapshot> for Json {
+    fn from(s: &mechanism::StatsSnapshot) -> Json {
+        let value = |v| match v {
+            mechanism::Value::Count(n) => Json::Int(n),
+            mechanism::Value::Label(l) => Json::Str(l.into()),
+        };
+        Json::Obj(s.fields().map(|(row, v)| (row.name.into(), value(v))).collect())
+    }
+}
+
 fn newline_indent(out: &mut String, indent: usize) {
     out.push('\n');
     for _ in 0..indent {

@@ -87,13 +87,9 @@ pub struct MacroCell {
     pub p99_ns: u64,
     /// 99.9th percentile latency (ns).
     pub p999_ns: u64,
-    /// Recorder events pushed in the server child (0 unless the cell
-    /// ran a `+record` mechanism).
-    pub events_recorded: u64,
-    /// Recorder events dropped at full rings in the server child.
-    pub events_dropped: u64,
-    /// Drain shards the child's recorder ran with (1 = single drainer).
-    pub drain_shards: u64,
+    /// The server child's mechanism snapshot at stop (recorder rows
+    /// stay 0 unless the cell ran a `+record` mechanism).
+    pub stats: mechanism::StatsSnapshot,
     /// Events each drain shard spooled (`replay::shard_drained`).
     pub shard_drained: Vec<u64>,
 }
@@ -175,19 +171,6 @@ impl Default for SweepConfig {
     }
 }
 
-/// Recorder counters a server child reports back before teardown.
-#[derive(Clone, Debug, Default)]
-pub struct ChildStats {
-    /// `replay::events_recorded()` in the child at stop.
-    pub events_recorded: u64,
-    /// `replay::events_dropped()` in the child at stop.
-    pub events_dropped: u64,
-    /// `replay::drain_shards()` the child's recorder configured.
-    pub drain_shards: u64,
-    /// Per-shard spooled-event counts.
-    pub shard_drained: Vec<u64>,
-}
-
 /// Monotonic suffix for per-cell temp trace paths (several cells can
 /// run within one parent process).
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -266,7 +249,7 @@ impl ServerChild {
 
     /// Stops the child (SIGTERM → eventfd stop), reads its stats line,
     /// and reaps the process group.
-    fn stop_and_stats(mut self) -> io::Result<ChildStats> {
+    fn stop_and_stats(mut self) -> io::Result<(mechanism::StatsSnapshot, Vec<u64>)> {
         // SIGTERM the master only: forked workers inherit the handler
         // and a copy of the write fd, and must not race it for the
         // stats line. The master SIGKILLs them before reporting.
@@ -284,25 +267,19 @@ impl ServerChild {
     }
 }
 
-/// Parses the child's `stats <recorded> <dropped> <shards> <d0> ...`
-/// line; missing or malformed lines degrade to zeros (non-recording
-/// cells report zeros anyway).
-fn parse_stats(tail: &str) -> ChildStats {
-    let mut stats = ChildStats::default();
-    let Some(line) = tail.lines().rev().find(|l| l.starts_with("stats ")) else {
-        return stats;
-    };
-    let mut nums = line.split_whitespace().skip(1).map(|w| w.parse::<u64>());
-    let mut next = |d: &mut u64| {
-        if let Some(Ok(n)) = nums.next() {
-            *d = n;
+/// Parses the child's `stats <name=value text form>` and `shards <d0>
+/// <d1> ...` lines; missing or malformed lines degrade to zeros
+/// (non-recording cells report zeros anyway).
+fn parse_stats(tail: &str) -> (mechanism::StatsSnapshot, Vec<u64>) {
+    let (mut stats, mut shards) = Default::default();
+    for line in tail.lines() {
+        match line.split_once(' ').unwrap_or((line, "")) {
+            ("stats", text) => stats = text.parse().unwrap_or_default(),
+            ("shards", n) => shards = n.split_whitespace().map_while(|w| w.parse().ok()).collect(),
+            _ => {}
         }
-    };
-    next(&mut stats.events_recorded);
-    next(&mut stats.events_dropped);
-    next(&mut stats.drain_shards);
-    stats.shard_drained = nums.by_ref().map_while(Result::ok).collect();
-    stats
+    }
+    (stats, shards)
 }
 
 /// Removes a `+record` cell's temp trace and its per-shard spool
@@ -350,7 +327,7 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
         pipeline: cfg.pipeline,
         duration: Duration::from_secs_f64(cfg.secs),
     })?;
-    let stats = child.stop_and_stats()?;
+    let (stats, shard_drained) = child.stop_and_stats()?;
 
     Ok(MacroCell {
         flavor: cfg.flavor,
@@ -365,10 +342,8 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
         p50_ns: report.latency.percentile(0.50),
         p99_ns: report.latency.percentile(0.99),
         p999_ns: report.latency.percentile(0.999),
-        events_recorded: stats.events_recorded,
-        events_dropped: stats.events_dropped,
-        drain_shards: stats.drain_shards,
-        shard_drained: stats.shard_drained,
+        stats,
+        shard_drained,
     })
 }
 
@@ -489,7 +464,7 @@ pub fn run_fig5(sweep: &SweepConfig) -> io::Result<Fig5Results> {
                 cell.rps,
                 cell.p99_ns / 1_000,
                 cell.errors,
-                cell.events_dropped,
+                cell.stats.events_dropped,
             );
             cells.push(cell);
         }
@@ -551,16 +526,16 @@ fn server_child(
     }
 
     let backend = mechanism::by_name(mech).expect("validated by ServerChild::spawn");
-    match backend.install(Box::new(interpose::PassthroughHandler)) {
-        // The server runs under the mechanism until SIGKILL; never tear
-        // down (teardown in the event loop would race in-flight
-        // requests for no benefit in a throwaway child).
-        Ok(active) => std::mem::forget(active),
+    // The server runs under the mechanism until SIGKILL; never tear
+    // down (teardown in the event loop would race in-flight requests
+    // for no benefit in a throwaway child).
+    let active = match backend.install(Box::new(interpose::PassthroughHandler)) {
+        Ok(active) => std::mem::ManuallyDrop::new(active),
         Err(e) => {
             eprintln!("server child: mechanism {mech} unavailable: {e}");
             std::process::exit(2);
         }
-    }
+    };
 
     let server = match Server::bind(ServerConfig {
         flavor,
@@ -578,21 +553,18 @@ fn server_child(
 
     let _ = server.run(&STOP);
 
-    // Stopped via SIGTERM: report the recorder counters over the pipe
-    // (zeros when this cell never recorded). The drain threads are
-    // still sweeping, so per-shard counts may trail `recorded` by the
-    // in-ring residue; `dropped` is exact.
-    let mut stats = format!(
-        "stats {} {} {}",
-        replay::events_recorded(),
-        replay::events_dropped(),
-        replay::drain_shards(),
-    );
-    for shard in 0..replay::drain_shards() as usize {
-        stats.push_str(&format!(" {}", replay::shard_drained(shard)));
+    // Stopped via SIGTERM: report the snapshot and the per-shard drain
+    // counts over the pipe (zeros when this cell never recorded). The
+    // drain threads are still sweeping, so per-shard counts may trail
+    // `events_recorded` by the in-ring residue; `events_dropped` is
+    // exact.
+    let stats = active.stats();
+    let mut lines = format!("stats {stats}\nshards");
+    for shard in 0..stats.drain_shards as usize {
+        lines.push_str(&format!(" {}", replay::shard_drained(shard)));
     }
-    stats.push('\n');
-    let _ = write_fd.write_all(stats.as_bytes());
+    lines.push('\n');
+    let _ = write_fd.write_all(lines.as_bytes());
     drop(write_fd);
     std::process::exit(0);
 }
@@ -672,14 +644,18 @@ mod tests {
 
     #[test]
     fn stats_line_round_trips() {
-        let s = parse_stats("port junk\nstats 1000 0 2 400 600\n");
-        assert_eq!(s.events_recorded, 1000);
-        assert_eq!(s.events_dropped, 0);
-        assert_eq!(s.drain_shards, 2);
-        assert_eq!(s.shard_drained, vec![400, 600]);
-        let empty = parse_stats("");
-        assert_eq!(empty.events_recorded, 0);
-        assert_eq!(empty.shard_drained, Vec::<u64>::new());
+        let sent = mechanism::StatsSnapshot {
+            mechanism: "lazypoline+record",
+            events_recorded: 1000,
+            drain_shards: 2,
+            ..Default::default()
+        };
+        let (stats, shards) = parse_stats(&format!("port junk\nstats {sent}\nshards 400 600\n"));
+        assert_eq!(stats, sent);
+        assert_eq!(shards, vec![400, 600]);
+        let (stats, shards) = parse_stats("");
+        assert_eq!(stats.events_recorded, 0);
+        assert_eq!(shards, Vec::<u64>::new());
     }
 
     // Full cells are exercised by the fig5 binary and an integration

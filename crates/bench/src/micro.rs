@@ -662,8 +662,7 @@ pub fn run_hook_win_curve() -> Option<HookWinCurve> {
 pub struct HardenedRow {
     /// Steady-state fast-path timing under the hardened configuration.
     pub measurement: Measurement,
-    /// Counter deltas for the measured window (only the fields the
-    /// wire format carries; the rest stay 0).
+    /// Counter deltas for the measured window.
     pub stats: mechanism::StatsSnapshot,
     /// The degradation-ladder rung the child reached (`Full` with MPK
     /// hardware, `BackstopOnly` without, etc.).
@@ -692,82 +691,79 @@ pub fn hardened_child_main() -> ! {
         hooks: "",
     };
     let (m, stats, _) = measure_row(&row, iters, runs);
-    let mut out = String::from("cycles");
-    for c in &m.cycles_per_call {
-        out.push_str(&format!(" {c}"));
-    }
-    out.push_str(&format!(
-        "\nstats {} {} {} {} {} {}\nharden {:?}\n",
-        stats.dispatches,
-        stats.slow_path_hits,
-        stats.sites_patched,
-        stats.bypass_blocked,
-        stats.pkru_switches,
-        stats.drain_yields,
-        lazypoline::health().harden,
-    ));
-    print!("{out}");
+    let cycles: Vec<String> = m.cycles_per_call.iter().map(f64::to_string).collect();
+    let harden = lazypoline::health().harden;
+    print!("cycles {}\nstats {stats}\nharden {harden:?}\n", cycles.join(" "));
     std::process::exit(0);
 }
 
-/// Runs the hardened row by re-execing the current binary with
-/// `--hardened-row` and parsing its stdout. `None` when the child
-/// can't run the row (exit 2) or dies under its own backstop — the
-/// table simply omits the row, like any other unsupported
-/// configuration.
-pub fn run_hardened_row() -> Option<HardenedRow> {
-    let exe = std::env::current_exe().ok()?;
-    let out = std::process::Command::new(exe)
-        .arg("--hardened-row")
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        eprintln!(
-            "skip: hardened-row child exited with {} — {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr).trim()
-        );
-        return None;
+/// Why [`run_hardened_row`] has no row to report.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum HardenedSkip {
+    /// The child cannot run the row on this host (it exited 2).
+    Unsupported,
+    /// The child died of a signal, failed otherwise, or never started.
+    Crashed(String),
+    /// The child exited cleanly but its stdout did not parse.
+    Unparseable(String),
+}
+
+impl std::fmt::Display for HardenedSkip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HardenedSkip::Unsupported => write!(f, "unsupported"),
+            HardenedSkip::Crashed(how) => write!(f, "crashed: {how}"),
+            HardenedSkip::Unparseable(why) => write!(f, "unparseable output: {why}"),
+        }
     }
-    parse_hardened_output(&String::from_utf8_lossy(&out.stdout))
+}
+
+/// Runs the hardened row by re-execing the current binary with
+/// `--hardened-row` and parsing its stdout; the child's stderr passes
+/// straight through.
+pub fn run_hardened_row() -> Result<HardenedRow, HardenedSkip> {
+    use std::os::unix::process::ExitStatusExt;
+
+    let out = std::env::current_exe()
+        .and_then(|exe| {
+            std::process::Command::new(exe)
+                .arg("--hardened-row")
+                .stderr(std::process::Stdio::inherit())
+                .output()
+        })
+        .map_err(|e| HardenedSkip::Crashed(format!("could not start: {e}")))?;
+    match (out.status.code(), out.status.signal()) {
+        (Some(0), _) => parse_hardened_output(&String::from_utf8_lossy(&out.stdout)),
+        (Some(2), _) => Err(HardenedSkip::Unsupported),
+        (_, Some(sig)) => Err(HardenedSkip::Crashed(format!("signal {sig}"))),
+        (code, None) => Err(HardenedSkip::Crashed(format!("exit code {code:?}"))),
+    }
 }
 
 /// Parses the child's line-oriented wire format: `cycles <f64>...`,
-/// `stats <dispatches> <slow_path_hits> <sites_patched>
-/// <bypass_blocked> <pkru_switches> <drain_yields>`, `harden <rung>`.
-fn parse_hardened_output(text: &str) -> Option<HardenedRow> {
+/// `stats <the snapshot's name=value text form>`, `harden <rung>`.
+fn parse_hardened_output(text: &str) -> Result<HardenedRow, HardenedSkip> {
+    let bad = HardenedSkip::Unparseable;
     let mut cycles = Vec::new();
-    let mut stats = mechanism::StatsSnapshot {
-        mechanism: "lazypoline-hardened",
-        ..Default::default()
-    };
+    let mut stats = None;
     let mut harden_level = String::new();
     for line in text.lines() {
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("cycles") => cycles = it.filter_map(|t| t.parse().ok()).collect(),
-            Some("stats") => {
-                let mut n = || it.next().and_then(|t| t.parse().ok()).unwrap_or(0);
-                stats.dispatches = n();
-                stats.slow_path_hits = n();
-                stats.sites_patched = n();
-                stats.bypass_blocked = n();
-                stats.pkru_switches = n();
-                stats.drain_yields = n();
-            }
-            Some("harden") => harden_level = it.collect::<Vec<_>>().join(" "),
+        match line.split_once(' ').unwrap_or((line, "")) {
+            ("cycles", rest) => cycles = rest.split_whitespace().flat_map(str::parse).collect(),
+            ("stats", rest) => stats = Some(rest.parse().map_err(bad)?),
+            ("harden", rest) => harden_level = rest.trim().to_string(),
             _ => {}
         }
     }
     if cycles.is_empty() {
-        return None;
+        return Err(bad("no cycles line".into()));
     }
-    Some(HardenedRow {
+    Ok(HardenedRow {
         measurement: Measurement {
             name: "lazypoline (hardened)",
             cycles_per_call: cycles,
         },
-        stats,
+        stats: stats.ok_or_else(|| bad("no stats line".into()))?,
         harden_level,
     })
 }
@@ -1054,6 +1050,45 @@ mod tests {
         assert_eq!(via_shared, 0xBEEF);
         // And the loop itself runs the same path without crashing.
         loop_interest_dispatch(10);
+    }
+
+    #[test]
+    fn hardened_child_output_round_trips_every_counter() {
+        // Every row distinct, so a dropped or swapped field shows.
+        let text: Vec<String> = mechanism::ROWS
+            .iter()
+            .enumerate()
+            .map(|(i, r)| match r.kind {
+                mechanism::Kind::Label => format!("{}=label{i}", r.name),
+                _ => format!("{}={}", r.name, 100 + i),
+            })
+            .collect();
+        let stats: mechanism::StatsSnapshot = text.join(" ").parse().unwrap();
+        let out = format!("cycles 600.5 610.5\nstats {stats}\nharden Full\n");
+        let row = parse_hardened_output(&out).expect("child output parses");
+        assert_eq!(row.stats, stats);
+        assert_eq!(row.measurement.cycles_per_call, [600.5, 610.5]);
+        assert_eq!(row.harden_level, "Full");
+
+        for bad in [
+            "",
+            "cycles 1\n",
+            "cycles 1\nstats bogus=1\n",
+            "stats dispatches=1\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_hardened_output(bad),
+                    Err(HardenedSkip::Unparseable(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            HardenedSkip::Crashed("signal 11".into()).to_string(),
+            "crashed: signal 11"
+        );
+        assert_eq!(HardenedSkip::Unsupported.to_string(), "unsupported");
     }
 
     // The full session is exercised by the `table2` binary and the

@@ -148,10 +148,10 @@ extern "C" fn dump_stats() {
     out.push_str(&format!("signals wrapped          : {}\n", s.signals_wrapped));
     // Robustness lines appear only when something actually degraded,
     // keeping the healthy-path dump short.
-    if s.patch_retries + s.pages_blocklisted + s.quarantined_handlers + h.faults_injected > 0 {
+    if s.patch_retries + s.pages_blocklisted + h.quarantined_handlers + h.faults_injected > 0 {
         out.push_str(&format!("patch retries            : {}\n", s.patch_retries));
         out.push_str(&format!("pages blocklisted        : {}\n", s.pages_blocklisted));
-        out.push_str(&format!("handlers quarantined     : {}\n", s.quarantined_handlers));
+        out.push_str(&format!("handlers quarantined     : {}\n", h.quarantined_handlers));
         out.push_str(&format!("faults injected          : {}\n", h.faults_injected));
     }
     let hooks = HOOKS_LOADED.load(Ordering::SeqCst);

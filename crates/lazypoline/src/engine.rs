@@ -132,7 +132,8 @@ pub enum Mode {
     PrescanOnly,
 }
 
-/// Event counters since initialization.
+/// The engine's own event counters since initialization: its sharded
+/// per-thread counters plus the hardening layers'.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// `SIGSYS` deliveries (slow-path trips).
@@ -154,32 +155,6 @@ pub struct Stats {
     pub patch_retries: u64,
     /// Pages inserted into the unpatchable-page blocklist.
     pub pages_blocklisted: u64,
-    /// Interposer handlers quarantined after panicking (cumulative).
-    pub quarantined_handlers: u64,
-    /// Syscall events captured into the flight-recorder rings
-    /// (cumulative; nonzero only while a `record` interposer runs).
-    pub events_recorded: u64,
-    /// Syscall events the flight recorder dropped to its overflow
-    /// policy (full ring or exhausted ring pool; cumulative).
-    pub events_dropped: u64,
-    /// Divergences replay handlers detected between an execution and
-    /// its trace (cumulative).
-    pub replay_divergences: u64,
-    /// Records the drain path moved from the rings into a trace file
-    /// (cumulative; async drain-thread sweeps and synchronous drains).
-    pub events_spilled: u64,
-    /// Adaptive capacity doublings of flight-recorder rings
-    /// (cumulative).
-    pub ring_grows: u64,
-    /// Ring pushes that observed near-full (≥3/4) occupancy —
-    /// backpressure the drain thread could not absorb (cumulative).
-    pub ring_near_full: u64,
-    /// Near-full pushes that `sched_yield`ed the producer under the
-    /// opt-in `LP_DRAIN_YIELD` knob (cumulative).
-    pub drain_yields: u64,
-    /// Drainer threads partitioning the ring pool in the most recent
-    /// recorder session (1 = single drainer; `LP_DRAIN_SHARDS`).
-    pub drain_shards: u64,
     /// Escape attempts the hardened-mode seccomp backstop caught
     /// (cumulative; nonzero only under `lazypoline-hardened`).
     pub bypass_blocked: u64,
@@ -200,12 +175,10 @@ pub struct Health {
     pub quarantined_handlers: u64,
     /// Faults injected by the `faultinject` seams (0 in production).
     pub faults_injected: u64,
-    /// Patch re-attempts after transient `mprotect` failures.
-    pub patch_retries: u64,
     /// The hardening rung achieved ([`crate::harden::level`];
     /// `HardenLevel::Off` unless hardened install was attempted).
     pub harden: crate::harden::HardenLevel,
-    /// The full counter set ([`stats`]).
+    /// The engine's counters ([`stats`]).
     pub stats: Stats,
 }
 
@@ -463,18 +436,6 @@ pub fn stats() -> Stats {
         signals_wrapped: counters::get(&counters::SIGNALS_WRAPPED),
         patch_retries: counters::get(&counters::PATCH_RETRIES),
         pages_blocklisted: counters::get(&counters::PAGES_BLOCKLISTED),
-        quarantined_handlers: interpose::quarantined_handlers(),
-        // Recorder counters live in lp-replay (its rings own the drop
-        // accounting); the engine folds them in so `health()` and the
-        // benches report one uniform counter set.
-        events_recorded: replay::events_recorded(),
-        events_dropped: replay::events_dropped(),
-        replay_divergences: replay::replay_divergences(),
-        events_spilled: replay::events_spilled(),
-        ring_grows: replay::ring::total_grows(),
-        ring_near_full: replay::ring::total_near_full(),
-        drain_yields: replay::ring::total_drain_yields(),
-        drain_shards: replay::drain_shards(),
         bypass_blocked: crate::harden::bypass_blocked(),
         pkru_switches: sud::pkey::pkru_switch_count(),
     }
@@ -483,15 +444,13 @@ pub fn stats() -> Stats {
 /// Robustness snapshot (also available without a handle): the active
 /// [`Mode`] plus the counters describing degradations taken so far.
 pub fn health() -> Health {
-    let stats = stats();
     Health {
         mode: mode(),
         patch_blocklist_pages: blocklist::len() as u64,
-        quarantined_handlers: stats.quarantined_handlers,
+        quarantined_handlers: interpose::quarantined_handlers(),
         faults_injected: faultinject::total_injected(),
-        patch_retries: stats.patch_retries,
         harden: crate::harden::level(),
-        stats,
+        stats: stats(),
     }
 }
 

@@ -52,7 +52,8 @@ use interpose::{HookId, HookStack, SyscallHandler};
 use replay::{RecordHandler, Recorder, ReplayHandler, ReplayState};
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 
-use crate::{static_by_name, ActiveMechanism, Inner, InstallError, Mechanism, StatsSnapshot};
+use crate::counters::{Baseline, Owner, Sources};
+use crate::{static_by_name, ActiveMechanism, Inner, InstallError, Mechanism};
 
 /// Environment variable naming the trace file a `+record` layer drains
 /// its rings into. Unset: the flight recorder still runs (rings +
@@ -84,7 +85,7 @@ pub const HOOKS_WATCH_ENV: &str = "LP_HOOKS_WATCH";
 const WATCH_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Hook libraries hot-reloaded by the watcher, process-wide.
-static HOOK_RELOADS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static HOOK_RELOADS: AtomicU64 = AtomicU64::new(0);
 
 /// The one process-lifetime cache of layered backends, keyed by the
 /// full name.
@@ -113,6 +114,15 @@ impl LayerKind {
             LayerKind::Record => "record",
             LayerKind::Hooks => "hooks",
             LayerKind::Sfip => "sfip",
+        }
+    }
+
+    /// The counter rows this layer adds (the recorder's are the base's).
+    pub(crate) fn owner(self) -> Option<Owner> {
+        match self {
+            LayerKind::Record => None,
+            LayerKind::Hooks => Some(Owner::Hooks),
+            LayerKind::Sfip => Some(Owner::Sfip),
         }
     }
 
@@ -148,8 +158,6 @@ impl LayerKind {
                 let layer = Layer::Hooks(HooksLayer {
                     stack: loaded.stack,
                     hooks: Arc::new(Mutex::new(hooks)),
-                    dispatch_base: interpose::hook_dispatches(),
-                    reload_base: HOOK_RELOADS.load(Ordering::Relaxed),
                     watcher: None,
                 });
                 (layer, handler)
@@ -163,12 +171,7 @@ impl LayerKind {
                 let action = ViolationAction::from_env().map_err(InstallError::Policy)?;
                 let check_origins = std::env::var(::sfip::ORIGINS_ENV).is_ok_and(|v| v == "1");
                 let enforcer = SfipHandler::new(Arc::new(policy), action, check_origins, handler);
-                let layer = Layer::Sfip {
-                    action,
-                    checks_base: ::sfip::checks(),
-                    violations_base: ::sfip::violations(),
-                };
-                (layer, Box::new(enforcer))
+                (Layer::Sfip(action), Box::new(enforcer))
             }
         })
     }
@@ -315,6 +318,8 @@ impl Mechanism for Layered {
                 };
             }
         }
+        let owners: Vec<Owner> = self.layers.iter().filter_map(|k| k.owner()).collect();
+        let counters = Baseline::take(&owners, &Sources::new(self.key));
         let base = base.install(handler)?;
         for layer in &mut layers {
             if let Layer::Hooks(h) = layer {
@@ -324,6 +329,7 @@ impl Mechanism for Layered {
         Ok(ActiveMechanism::new(
             self.key,
             Inner::Layered(Box::new(LayeredActive { base, layers })),
+            counters,
         ))
     }
 }
@@ -333,12 +339,8 @@ pub(crate) enum Layer {
     /// The trace session, when `LP_TRACE_OUT` asked for one.
     Record(Option<Recorder>),
     Hooks(HooksLayer),
-    /// Install-time counter baselines, so the snapshot reports deltas.
-    Sfip {
-        action: ViolationAction,
-        checks_base: u64,
-        violations_base: u64,
-    },
+    /// The violation action, reported as `sfip_mode`.
+    Sfip(ViolationAction),
     Replay(Arc<ReplayState>),
 }
 
@@ -351,47 +353,20 @@ pub(crate) struct LayeredActive {
 }
 
 impl LayeredActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        // The base snapshot already carries the recorder and replay
-        // counters (they are registry-level, reported by every backend
-        // kind); the hook and sfip layers add their own.
-        let mut s = self.base.stats();
-        s.mechanism = mechanism;
+    /// Fills in the counter sources only the layers know.
+    pub(crate) fn read_into(&self, src: &mut Sources) {
         for layer in &self.layers {
             match layer {
-                Layer::Hooks(h) => {
-                    s.hooks_loaded = h.stack.dynamic_len() as u64;
-                    s.hook_dispatches =
-                        interpose::hook_dispatches().saturating_sub(h.dispatch_base);
-                    s.hook_reloads = HOOK_RELOADS
-                        .load(Ordering::Relaxed)
-                        .saturating_sub(h.reload_base);
-                }
-                Layer::Sfip {
-                    action,
-                    checks_base,
-                    violations_base,
-                } => {
-                    s.sfip_checks = ::sfip::checks().saturating_sub(*checks_base);
-                    s.sfip_violations = ::sfip::violations().saturating_sub(*violations_base);
-                    s.sfip_mode = action.name();
-                }
+                Layer::Hooks(h) => src.hooks_loaded = h.stack.dynamic_len() as u64,
+                Layer::Sfip(action) => src.sfip_mode = action.name(),
                 Layer::Record(_) | Layer::Replay(_) => {}
             }
         }
-        s
     }
 
     pub(crate) fn hooks(&self) -> Option<&HooksLayer> {
         self.layers.iter().find_map(|l| match l {
             Layer::Hooks(h) => Some(h),
-            _ => None,
-        })
-    }
-
-    pub(crate) fn recorder(&mut self) -> Option<&mut Option<Recorder>> {
-        self.layers.iter_mut().find_map(|l| match l {
-            Layer::Record(r) => Some(r),
             _ => None,
         })
     }
@@ -431,10 +406,6 @@ fn mtime_of(path: &str) -> Option<SystemTime> {
 pub(crate) struct HooksLayer {
     pub(crate) stack: HookStack,
     hooks: Arc<Mutex<Vec<WatchedHook>>>,
-    /// `interpose::hook_dispatches()` at install, for delta reporting.
-    dispatch_base: u64,
-    /// Watcher reloads at install, for delta reporting.
-    reload_base: u64,
     watcher: Option<Watcher>,
 }
 

@@ -9,9 +9,10 @@
 //! the registry for a backend [`by_name`] (or [`from_env`] via
 //! `LP_MECHANISM`), [`Mechanism::install`] it around a
 //! [`SyscallHandler`], and read a uniform [`StatsSnapshot`] from the
-//! returned [`ActiveMechanism`] guard. Adding a backend is a one-file
-//! change here; the micro/macro benchmarks, examples, and tests pick it
-//! up by name.
+//! returned [`ActiveMechanism`] guard: one field per row of the counter
+//! table [`ROWS`], which declares each counter's kind, unit and owning
+//! layer once. Adding a backend is a one-file change here, adding a
+//! counter one row; benchmarks, examples and tests pick both up.
 //!
 //! # Registered names
 //!
@@ -62,10 +63,13 @@
 
 #![deny(missing_docs)]
 
+mod counters;
 mod layers;
 mod native;
 mod sim;
 
+use counters::{Baseline, Sources};
+pub use counters::{Kind, Owner, Row, StatsSnapshot, Value, ROWS};
 use interpose::SyscallHandler;
 pub use layers::{HOOKS_ENV, HOOKS_WATCH_ENV, TRACE_OUT_ENV};
 pub use replay;
@@ -158,95 +162,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Uniform per-installation statistics, reported as **deltas since
-/// install** so drivers can attribute counts to one measurement phase.
-///
-/// Engine-backed natives report the full counter set (including the
-/// robustness counters: patch retries, blocklisted pages, quarantined
-/// handlers). `sud-raw` counts each `SIGSYS` trip as both a dispatch
-/// and a slow-path hit. Simulated backends map the sim kernel's
-/// counters (observed syscalls → `dispatches`, SUD/SIGSYS deliveries →
-/// `slow_path_hits`); counters without a simulated equivalent stay 0.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Registry key of the mechanism that produced this snapshot.
-    pub mechanism: &'static str,
-    /// Syscalls that reached the mechanism's dispatcher.
-    pub dispatches: u64,
-    /// Slow-path (`SIGSYS`) trips.
-    pub slow_path_hits: u64,
-    /// Syscall sites rewritten to `call rax`.
-    pub sites_patched: u64,
-    /// Syscalls emulated because their site is unpatchable.
-    pub unpatchable_emulations: u64,
-    /// Syscalls emulated because lazy rewriting is off.
-    pub disabled_mode_emulations: u64,
-    /// Application signal deliveries routed through the wrapper.
-    pub signals_wrapped: u64,
-    /// Patch re-attempts after transient `mprotect` failures.
-    pub patch_retries: u64,
-    /// Pages inserted into the unpatchable-page blocklist.
-    pub pages_blocklisted: u64,
-    /// Interposer handlers quarantined after panicking.
-    pub quarantined_handlers: u64,
-    /// Syscall events the flight recorder captured (nonzero only under
-    /// a `+record` layer or a manually installed recorder).
-    pub events_recorded: u64,
-    /// Syscall events the flight recorder dropped to its overflow
-    /// policy.
-    pub events_dropped: u64,
-    /// Divergences replay detected between the execution and its trace
-    /// (nonzero only under `replay:<path>`).
-    pub replay_divergences: u64,
-    /// Records the drain path spilled from the rings into a trace file
-    /// (async drain-thread sweeps and synchronous drains).
-    pub events_spilled: u64,
-    /// Adaptive capacity doublings of flight-recorder rings.
-    pub ring_grows: u64,
-    /// Ring pushes that observed near-full (≥3/4) occupancy —
-    /// recorder backpressure short of an actual drop.
-    pub ring_near_full: u64,
-    /// Near-full pushes that yielded the producer (`LP_DRAIN_YIELD`).
-    pub drain_yields: u64,
-    /// Drainer threads partitioning the ring pool in the most recent
-    /// recorder session (1 = single drainer; `LP_DRAIN_SHARDS`).
-    pub drain_shards: u64,
-    /// Escape attempts the hardened backstop caught (nonzero only
-    /// under `lazypoline-hardened` / `sim:lazypoline-hardened`).
-    pub bypass_blocked: u64,
-    /// WRPKRU open/close pairs around protected-selector writes
-    /// (nonzero only with the pkey layer armed).
-    pub pkru_switches: u64,
-    /// Dynamically loaded hooks currently attached to the handler stack
-    /// (a gauge, not a delta; nonzero only under a `+hooks` layer).
-    pub hooks_loaded: u64,
-    /// Syscall events dispatched into dynamically loaded hooks since
-    /// install (one count per hook per event that reaches it).
-    pub hook_dispatches: u64,
-    /// Hook libraries reloaded by the `LP_HOOKS_WATCH` mtime watcher
-    /// since install (nonzero only under a `+hooks` layer with the
-    /// watcher enabled).
-    pub hook_reloads: u64,
-    /// Syscall-flow transition checks performed since install (nonzero
-    /// only under a `+sfip` layer).
-    pub sfip_checks: u64,
-    /// Syscall-flow violations observed since install (nonzero only
-    /// under a `+sfip` layer).
-    pub sfip_violations: u64,
-    /// The `+sfip` layer's violation action (`kill`|`quarantine`|`count`;
-    /// empty for other backends).
-    pub sfip_mode: &'static str,
-}
-
-impl StatsSnapshot {
-    pub(crate) fn zero(mechanism: &'static str) -> StatsSnapshot {
-        StatsSnapshot {
-            mechanism,
-            ..StatsSnapshot::default()
-        }
-    }
-}
-
 /// Result of one simulated guest run.
 #[derive(Clone, Debug)]
 pub struct SimOutcome {
@@ -265,6 +180,7 @@ pub struct SimOutcome {
 pub struct ActiveMechanism {
     name: &'static str,
     inner: Inner,
+    counters: Baseline,
 }
 
 pub(crate) enum Inner {
@@ -274,8 +190,12 @@ pub(crate) enum Inner {
 }
 
 impl ActiveMechanism {
-    pub(crate) fn new(name: &'static str, inner: Inner) -> ActiveMechanism {
-        ActiveMechanism { name, inner }
+    pub(crate) fn new(name: &'static str, inner: Inner, counters: Baseline) -> ActiveMechanism {
+        ActiveMechanism {
+            name,
+            inner,
+            counters,
+        }
     }
 
     /// The registry key of the installed mechanism.
@@ -283,13 +203,21 @@ impl ActiveMechanism {
         self.name
     }
 
-    /// Counters accumulated since install (see [`StatsSnapshot`]).
+    /// Counters accumulated since install: a fold over the [`ROWS`] this
+    /// installation owns, over its base's snapshot if it is layered.
     pub fn stats(&self) -> StatsSnapshot {
+        let mut src = Sources::new(self.name);
+        let mut s = StatsSnapshot::default();
         match &self.inner {
-            Inner::Native(n) => n.snapshot(self.name),
-            Inner::Sim(s) => s.snapshot(self.name),
-            Inner::Layered(l) => l.snapshot(self.name),
+            Inner::Native(n) => src.trips = n.trips(),
+            Inner::Sim(sim) => src.trips = Some(sim.trips),
+            Inner::Layered(l) => {
+                s = l.base.stats();
+                l.read_into(&mut src);
+            }
         }
+        self.counters.fold(&src, &mut s);
+        s
     }
 
     fn layered(&self) -> Option<&layers::LayeredActive> {
@@ -332,7 +260,10 @@ impl ActiveMechanism {
     /// Without this call the session finishes on drop, best-effort.
     pub fn finish_recording(&mut self) -> Option<std::io::Result<replay::RecordSummary>> {
         match &mut self.inner {
-            Inner::Layered(l) => Some(l.recorder()?.take()?.finish()),
+            Inner::Layered(l) => l.layers.iter_mut().find_map(|layer| match layer {
+                layers::Layer::Record(recorder) => Some(recorder.take()?.finish()),
+                _ => None,
+            }),
             _ => None,
         }
     }
@@ -382,16 +313,7 @@ impl ActiveMechanism {
     pub fn run_program(&mut self, program: &[u8]) -> Result<SimOutcome, RunError> {
         match &mut self.inner {
             Inner::Sim(s) => s.run(program),
-            Inner::Layered(l) => {
-                let out = l.base.run_program(program);
-                // Drain between guest runs so rings never overflow
-                // across a multi-run session (each sim run can observe
-                // more events than one ring holds).
-                if let Some(Some(rec)) = l.recorder() {
-                    let _ = rec.drain();
-                }
-                out
-            }
+            Inner::Layered(l) => l.base.run_program(program),
             Inner::Native(_) => Err(RunError::NotSimulated),
         }
     }
@@ -699,6 +621,120 @@ mod tests {
                 Ok(_) => panic!("install must fail without a policy"),
             }
         }
+    }
+
+    /// The rows `owners` reports, sorted.
+    fn reported(owners: &[Owner]) -> Vec<&'static str> {
+        let base = Baseline::take(owners, &Sources::new("t"));
+        let mut names: Vec<_> = ROWS
+            .iter()
+            .filter(|r| base.owns(r))
+            .map(|r| r.name)
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
+    fn sorted(lists: &[&[&'static str]]) -> Vec<&'static str> {
+        let mut names = lists.concat();
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
+    #[test]
+    fn each_backend_kind_reports_exactly_its_rows() {
+        // Hand-derived from the per-kind snapshot code this table
+        // replaced: quarantine and the recorder rows for every native,
+        // the recorder rows but not quarantine for the sim, dispatch
+        // rows where something dispatches, engine rows for the engine,
+        // hook and SFIP rows only under their layers.
+        const RECORDER: &[&str] = &[
+            "mechanism",
+            "events_recorded",
+            "events_dropped",
+            "replay_divergences",
+            "events_spilled",
+            "ring_grows",
+            "ring_near_full",
+            "drain_yields",
+            "drain_shards",
+        ];
+        const DISPATCH: &[&str] = &["dispatches", "slow_path_hits"];
+        const ENGINE: &[&str] = &[
+            "sites_patched",
+            "unpatchable_emulations",
+            "disabled_mode_emulations",
+            "signals_wrapped",
+            "patch_retries",
+            "pages_blocklisted",
+            "bypass_blocked",
+            "pkru_switches",
+        ];
+        const HOOKS: &[&str] = &[
+            "mechanism",
+            "hooks_loaded",
+            "hook_dispatches",
+            "hook_reloads",
+        ];
+        const SFIP: &[&str] = &["mechanism", "sfip_checks", "sfip_violations", "sfip_mode"];
+        let quarantine = &["quarantined_handlers"][..];
+
+        let mut bases = Vec::new();
+        for b in &native::NATIVE_BACKENDS {
+            let expected = match b.name() {
+                "none" | "sud-allow" => sorted(&[RECORDER, quarantine]),
+                "sud-raw" => sorted(&[RECORDER, quarantine, DISPATCH]),
+                _ => sorted(&[RECORDER, quarantine, DISPATCH, ENGINE]),
+            };
+            assert_eq!(reported(b.cfg.owners()), expected, "{}", b.name());
+            bases.push((b.name(), b.cfg.owners(), expected));
+        }
+        for b in &sim::SIM_BACKENDS {
+            let expected = sorted(&[RECORDER, DISPATCH]);
+            assert_eq!(reported(sim::OWNERS), expected, "{}", b.name());
+            bases.push((b.name(), sim::OWNERS, expected));
+        }
+        // A layered installation adds its layers' rows to its base's
+        // snapshot; `+record` and `replay:` add none of their own (the
+        // recorder rows are every base's already).
+        for (name, base, base_rows) in bases {
+            for kind in layers::LayerKind::ALL {
+                let owners: Vec<Owner> = kind.owner().into_iter().collect();
+                let mut got = [reported(base), reported(&owners)].concat();
+                got.sort_unstable();
+                got.dedup();
+                let expected = match kind {
+                    layers::LayerKind::Record => base_rows.clone(),
+                    layers::LayerKind::Hooks => sorted(&[&base_rows, HOOKS]),
+                    layers::LayerKind::Sfip => sorted(&[&base_rows, SFIP]),
+                };
+                assert_eq!(got, expected, "{name}+{}", kind.suffix());
+            }
+        }
+        assert_eq!(reported(&[]), ["mechanism"], "replay:");
+    }
+
+    #[test]
+    fn recorder_counters_reach_a_layered_sim_snapshot() {
+        let mut active = by_name("sim:lazypoline+record")
+            .unwrap()
+            .install(Box::new(interpose::PassthroughHandler))
+            .expect("sim +record installs");
+        let out = active
+            .run_program(&sim_workloads::bench::microbench(20))
+            .expect("guest runs");
+        let s = active.stats();
+        assert_eq!(s.mechanism, "sim:lazypoline+record");
+        assert_eq!(s.dispatches, out.observed.len() as u64);
+        assert!(s.events_recorded > 0, "{s:?}");
+        assert_eq!(
+            (s.quarantined_handlers, s.sites_patched, s.hooks_loaded),
+            (0, 0, 0)
+        );
+        assert_eq!(s.sfip_mode, "");
+        drop(active);
+        replay::ring::drain_all(|_| {});
     }
 
     #[test]

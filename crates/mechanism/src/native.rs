@@ -7,16 +7,17 @@ use interpose::SyscallHandler;
 use sim_interpose::{Efficiency, Expressiveness, Traits};
 use zpoline::XstateMask;
 
-use crate::{ActiveMechanism, InstallError, Inner, Mechanism, StatsSnapshot};
+use crate::counters::{Baseline, Owner, Sources};
+use crate::{ActiveMechanism, Inner, InstallError, Mechanism};
 
 /// One registry row: a name bound to a concrete native configuration.
 pub(crate) struct NativeBackend {
     key: &'static str,
-    cfg: NativeCfg,
+    pub(crate) cfg: NativeCfg,
     traits: Traits,
 }
 
-enum NativeCfg {
+pub(crate) enum NativeCfg {
     /// No interposition at all.
     Nothing,
     /// SUD enabled with the selector parked at ALLOW: measures the
@@ -144,6 +145,20 @@ pub(crate) static NATIVE_BACKENDS: [NativeBackend; 9] = [
     },
 ];
 
+impl NativeCfg {
+    /// The counter rows this configuration reports: quarantine and the
+    /// recorder rows for every base (any may run a registry handler or
+    /// sit under `+record`), plus dispatch and engine rows where used.
+    pub(crate) fn owners(&self) -> &'static [Owner] {
+        use Owner::*;
+        match self {
+            Self::Nothing | Self::SudAllow => &[Registry, Recorder],
+            Self::RawSud => &[Dispatch, Registry, Recorder],
+            Self::Engine { .. } | Self::Hardened => &[Dispatch, Engine, Registry, Recorder],
+        }
+    }
+}
+
 impl Mechanism for NativeBackend {
     fn name(&self) -> &'static str {
         self.key
@@ -187,8 +202,9 @@ impl Mechanism for NativeBackend {
         // syscall must already see the caller's handler, not the
         // previous one. The guard reverses this order on teardown.
         let guard = interpose::install_handler(handler);
-        let base = lazypoline::stats();
-        let base_raw_dispatches = RAW_SUD_DISPATCHES.load(Ordering::Relaxed);
+        let mut src = Sources::new(self.key);
+        src.trips = matches!(self.cfg, NativeCfg::RawSud).then(raw_sud_trips);
+        let counters = Baseline::take(self.cfg.owners(), &src);
 
         let kind = match self.cfg {
             NativeCfg::Nothing => NativeKind::Nothing,
@@ -254,10 +270,9 @@ impl Mechanism for NativeBackend {
             self.key,
             Inner::Native(Box::new(NativeActive {
                 kind,
-                base,
-                base_raw_dispatches,
                 _guard: guard,
             })),
+            counters,
         ))
     }
 }
@@ -277,74 +292,13 @@ enum NativeKind {
 /// handler.
 pub(crate) struct NativeActive {
     kind: NativeKind,
-    base: lazypoline::Stats,
-    base_raw_dispatches: u64,
     _guard: interpose::HandlerGuard,
 }
 
 impl NativeActive {
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let now = lazypoline::stats();
-        let mut s = StatsSnapshot::zero(mechanism);
-        // Quarantine and the recorder/replay counters are
-        // registry-level, not engine-level: report them for every
-        // backend (the raw-SUD handler dispatches through the same
-        // registry, and a record/replay wrapper may envelop any of
-        // them).
-        s.quarantined_handlers = now
-            .quarantined_handlers
-            .saturating_sub(self.base.quarantined_handlers);
-        s.events_recorded = now.events_recorded.saturating_sub(self.base.events_recorded);
-        s.events_dropped = now.events_dropped.saturating_sub(self.base.events_dropped);
-        s.replay_divergences = now
-            .replay_divergences
-            .saturating_sub(self.base.replay_divergences);
-        s.events_spilled = now.events_spilled.saturating_sub(self.base.events_spilled);
-        s.ring_grows = now.ring_grows.saturating_sub(self.base.ring_grows);
-        s.ring_near_full = now.ring_near_full.saturating_sub(self.base.ring_near_full);
-        s.drain_yields = now.drain_yields.saturating_sub(self.base.drain_yields);
-        // A configuration value, not a counter: report it as-is.
-        s.drain_shards = now.drain_shards;
-        match &self.kind {
-            NativeKind::Nothing | NativeKind::SudAllow => {}
-            NativeKind::RawSud { .. } => {
-                let d = RAW_SUD_DISPATCHES
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(self.base_raw_dispatches);
-                s.dispatches = d;
-                s.slow_path_hits = d;
-            }
-            NativeKind::Engine { .. } => {
-                // The engine counts trampoline entries in `dispatches`;
-                // slow-path *emulations* (rewriting disabled, or an
-                // unpatchable page) notify the handler without entering
-                // the trampoline. The unified snapshot reports every
-                // handler-visible dispatch, whichever path carried it.
-                s.dispatches = now.dispatches.saturating_sub(self.base.dispatches)
-                    + now
-                        .disabled_mode_emulations
-                        .saturating_sub(self.base.disabled_mode_emulations)
-                    + now
-                        .unpatchable_emulations
-                        .saturating_sub(self.base.unpatchable_emulations);
-                s.slow_path_hits = now.slow_path_hits.saturating_sub(self.base.slow_path_hits);
-                s.sites_patched = now.sites_patched.saturating_sub(self.base.sites_patched);
-                s.unpatchable_emulations = now
-                    .unpatchable_emulations
-                    .saturating_sub(self.base.unpatchable_emulations);
-                s.disabled_mode_emulations = now
-                    .disabled_mode_emulations
-                    .saturating_sub(self.base.disabled_mode_emulations);
-                s.signals_wrapped = now.signals_wrapped.saturating_sub(self.base.signals_wrapped);
-                s.patch_retries = now.patch_retries.saturating_sub(self.base.patch_retries);
-                s.pages_blocklisted = now
-                    .pages_blocklisted
-                    .saturating_sub(self.base.pages_blocklisted);
-                s.bypass_blocked = now.bypass_blocked.saturating_sub(self.base.bypass_blocked);
-                s.pkru_switches = now.pkru_switches.saturating_sub(self.base.pkru_switches);
-            }
-        }
-        s
+    /// `sud-raw`'s own trip count (see [`raw_sud_trips`]).
+    pub(crate) fn trips(&self) -> Option<(u64, u64)> {
+        matches!(self.kind, NativeKind::RawSud { .. }).then(raw_sud_trips)
     }
 
     pub(crate) fn detach(&mut self) {
@@ -398,6 +352,12 @@ impl Drop for NativeActive {
 
 /// Dispatches the raw-SUD backend counted here (per `SIGSYS` trip).
 static RAW_SUD_DISPATCHES: AtomicU64 = AtomicU64::new(0);
+
+/// `sud-raw`'s `SIGSYS` trips as both dispatches and slow-path hits.
+fn raw_sud_trips() -> (u64, u64) {
+    let trips = RAW_SUD_DISPATCHES.load(Ordering::Relaxed);
+    (trips, trips)
+}
 
 /// The classic SUD deployment's `SIGSYS` handler: selector to ALLOW
 /// (per protocol — also what makes it one-shot), then the same shared

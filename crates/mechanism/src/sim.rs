@@ -5,7 +5,8 @@
 use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 use sim_interpose::{mechanism_traits, Interposed, Traits};
 
-use crate::{ActiveMechanism, InstallError, Inner, Mechanism, RunError, SimOutcome, StatsSnapshot};
+use crate::counters::{Baseline, Owner, Sources};
+use crate::{ActiveMechanism, Inner, InstallError, Mechanism, RunError, SimOutcome};
 
 /// One registry row: a name bound to a simulated mechanism model.
 pub(crate) struct SimBackend {
@@ -73,30 +74,25 @@ impl Mechanism for SimBackend {
         &self,
         handler: Box<dyn SyscallHandler>,
     ) -> Result<ActiveMechanism, InstallError> {
-        Ok(ActiveMechanism::new(
-            self.key,
-            Inner::Sim(SimActive::new(self.mech, handler)),
-        ))
+        let active = SimActive::new(self.mech, handler);
+        let mut src = Sources::new(self.key);
+        src.trips = Some(active.trips);
+        let counters = Baseline::take(OWNERS, &src);
+        Ok(ActiveMechanism::new(self.key, Inner::Sim(active), counters))
     }
 }
+
+/// The counter rows a simulated installation reports: no engine and no
+/// handler quarantine.
+pub(crate) const OWNERS: &[Owner] = &[Owner::Dispatch, Owner::Recorder];
 
 /// Live simulated installation: the handler plus counters accumulated
 /// across [`ActiveMechanism::run_program`] calls.
 pub(crate) struct SimActive {
     mech: sim_interpose::Mechanism,
     handler: Box<dyn SyscallHandler>,
-    dispatches: u64,
-    slow_path_hits: u64,
-    /// Process-global recorder/replay counters at install time, so the
-    /// snapshot reports deltas attributable to this installation (same
-    /// contract as the native backends).
-    base_recorded: u64,
-    base_dropped: u64,
-    base_divergences: u64,
-    base_spilled: u64,
-    base_grows: u64,
-    base_near_full: u64,
-    base_drain_yields: u64,
+    /// Observed syscalls and SUD/SIGSYS deliveries across every run.
+    pub(crate) trips: (u64, u64),
 }
 
 impl SimActive {
@@ -107,15 +103,7 @@ impl SimActive {
         SimActive {
             mech,
             handler,
-            dispatches: 0,
-            slow_path_hits: 0,
-            base_recorded: replay::events_recorded(),
-            base_dropped: replay::events_dropped(),
-            base_divergences: replay::replay_divergences(),
-            base_spilled: replay::events_spilled(),
-            base_grows: replay::ring::total_grows(),
-            base_near_full: replay::ring::total_near_full(),
-            base_drain_yields: replay::ring::total_drain_yields(),
+            trips: (0, 0),
         }
     }
 
@@ -153,30 +141,12 @@ impl SimActive {
             }
         }
 
-        self.dispatches += observed.len() as u64;
-        self.slow_path_hits += ip.system.kernel.stats().sud_dispatches;
+        self.trips.0 += observed.len() as u64;
+        self.trips.1 += ip.system.kernel.stats().sud_dispatches;
         Ok(SimOutcome {
             exit,
             cycles: ip.cycles(),
             observed,
         })
-    }
-
-    pub(crate) fn snapshot(&self, mechanism: &'static str) -> StatsSnapshot {
-        let mut s = StatsSnapshot::zero(mechanism);
-        s.dispatches = self.dispatches;
-        s.slow_path_hits = self.slow_path_hits;
-        s.events_recorded = replay::events_recorded().saturating_sub(self.base_recorded);
-        s.events_dropped = replay::events_dropped().saturating_sub(self.base_dropped);
-        s.replay_divergences =
-            replay::replay_divergences().saturating_sub(self.base_divergences);
-        s.events_spilled = replay::events_spilled().saturating_sub(self.base_spilled);
-        s.ring_grows = replay::ring::total_grows().saturating_sub(self.base_grows);
-        s.ring_near_full = replay::ring::total_near_full().saturating_sub(self.base_near_full);
-        s.drain_yields =
-            replay::ring::total_drain_yields().saturating_sub(self.base_drain_yields);
-        // A configuration value, not a counter: report it as-is.
-        s.drain_shards = replay::drain_shards();
-        s
     }
 }

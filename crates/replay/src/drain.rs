@@ -53,7 +53,7 @@ use crate::spill::MmapSink;
 pub const MAX_SHARDS: usize = 16;
 
 /// Records drained by each shard (process lifetime). Shard 0 also
-/// counts the unsharded drainer's sweeps and synchronous drains.
+/// counts the unsharded drainer's sweeps.
 static SHARD_DRAINED: [AtomicU64; MAX_SHARDS] = [const { AtomicU64::new(0) }; MAX_SHARDS];
 
 /// Records drained by shard `shard` since process start (shard 0
@@ -64,9 +64,7 @@ pub fn shard_drained(shard: usize) -> u64 {
         .map_or(0, |c| c.load(Ordering::Relaxed))
 }
 
-/// Records appended to a trace by drain sweeps (process lifetime),
-/// counting both the async thread's sweeps and synchronous
-/// [`Recorder::drain`](crate::Recorder::drain) calls.
+/// Records appended to a trace by drain sweeps (process lifetime).
 pub(crate) static EVENTS_SPILLED: AtomicU64 = AtomicU64::new(0);
 
 /// Consecutive empty sweeps that merely yield before the thread starts

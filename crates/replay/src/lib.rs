@@ -48,7 +48,7 @@ pub use format::{
 pub use drain::{shard_drained, MAX_SHARDS};
 pub use record::{
     drain_shards, events_dropped, events_recorded, events_spilled, RecordHandler, RecordSummary,
-    Recorder, DRAIN_ENV, DRAIN_SHARDS_ENV, TRACE_FORMAT_ENV,
+    Recorder, DRAIN_SHARDS_ENV, TRACE_FORMAT_ENV,
 };
 pub use ring::RingConfigError;
 pub use replay::{

@@ -3,8 +3,7 @@
 //! [`Recorder`] session that drains the rings into a trace file.
 
 use std::cell::Cell;
-use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -21,15 +20,10 @@ use crate::spill::MmapSink;
 /// compressed LPTRACE2 default.
 pub const TRACE_FORMAT_ENV: &str = "LP_TRACE_FORMAT";
 
-/// Environment variable selecting the drain mode: unset or `async`
-/// runs the dedicated drain thread (zero drops at steady state);
-/// `sync` restores the drain-at-phase-boundaries behavior.
-pub const DRAIN_ENV: &str = "LP_DRAIN";
-
 /// Environment variable selecting how many drainer threads partition
-/// the ring pool (async mode only): unset or `1` keeps the single
-/// drainer; `2..=16` shard the pool, each shard spilling to its own
-/// side spool merged into the trace at finish. See
+/// the ring pool: unset or `1` keeps the single drainer; `2..=16`
+/// shard the pool, each shard spilling to its own side spool merged
+/// into the trace at finish. See
 /// [`drain`](crate::drain)'s module docs.
 pub const DRAIN_SHARDS_ENV: &str = "LP_DRAIN_SHARDS";
 
@@ -58,8 +52,8 @@ pub fn events_dropped() -> u64 {
     ring::total_dropped()
 }
 
-/// Records spilled from the rings into a trace since process start
-/// (async drain sweeps and synchronous [`Recorder::drain`] calls).
+/// Records the drain threads spilled from the rings into a trace since
+/// process start.
 pub fn events_spilled() -> u64 {
     drain::EVENTS_SPILLED.load(Ordering::Relaxed)
 }
@@ -223,57 +217,17 @@ impl RecordSummary {
     }
 }
 
-/// The sink a recording spills into: a buffered file for synchronous
-/// phase-boundary drains, a chunked shared mapping under the async
-/// drain thread (a batch append is a memcpy into the page cache).
-enum TraceOut {
-    Buffered(BufWriter<File>),
-    Mmap(MmapSink),
-}
-
-impl Write for TraceOut {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            TraceOut::Buffered(w) => w.write(buf),
-            TraceOut::Mmap(w) => w.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            TraceOut::Buffered(w) => w.flush(),
-            TraceOut::Mmap(w) => w.flush(),
-        }
-    }
-}
-
-impl Seek for TraceOut {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        match self {
-            TraceOut::Buffered(w) => w.seek(pos),
-            TraceOut::Mmap(w) => w.seek(pos),
-        }
-    }
-}
-
-/// How the session moves records from the rings to the writer.
+/// How the session moves records from the rings to the trace.
 enum Mode {
-    /// The caller drains at phase boundaries ([`Recorder::drain`]).
-    Sync {
-        /// `None` once finished (consumed by `finish` or drop).
-        writer: Option<TraceWriter<TraceOut>>,
-        /// Drain buffer, reused so only the first drain grows it.
-        pending: Vec<EventRecord>,
-    },
-    /// The dedicated drain thread sweeps continuously.
-    Async {
+    /// One dedicated drain thread sweeps continuously.
+    Single {
         /// `None` once finished.
-        handle: Option<drain::DrainHandle<TraceOut>>,
+        handle: Option<drain::DrainHandle<MmapSink>>,
     },
     /// M drainer threads partition the ring pool (`LP_DRAIN_SHARDS`).
     Sharded {
         /// `None` once finished.
-        handle: Option<drain::ShardedDrainHandle<TraceOut>>,
+        handle: Option<drain::ShardedDrainHandle<MmapSink>>,
     },
 }
 
@@ -281,14 +235,13 @@ enum Mode {
 /// flight-recorder rings into it, and patches the final drop count on
 /// [`finish`](Recorder::finish).
 ///
-/// By default the session runs a dedicated drain thread that sweeps
-/// the rings continuously into an mmap-backed LPTRACE2 trace — at
-/// steady state producers never meet a full ring, so
-/// `events_dropped == 0`. `LP_DRAIN=sync` restores synchronous
-/// phase-boundary draining and `LP_TRACE_FORMAT=1` the fixed-record
-/// LPTRACE1 format. `LP_RING_CAPACITY` / `LP_MAX_RINGS` are validated
-/// and applied here (a malformed value fails the install, never
-/// silently falls back).
+/// The session runs a dedicated drain thread (or `LP_DRAIN_SHARDS` of
+/// them) that sweeps the rings continuously into an mmap-backed
+/// LPTRACE2 trace — at steady state producers never meet a full ring,
+/// so `events_dropped == 0`. `LP_TRACE_FORMAT=1` writes the
+/// fixed-record LPTRACE1 format instead. `LP_RING_CAPACITY` /
+/// `LP_MAX_RINGS` are validated and applied here (a malformed value
+/// fails the install, never silently falls back).
 ///
 /// Create it *before* installing the [`RecordHandler`] — it clears
 /// stale ring contents, and the drain thread must be spawned before
@@ -303,8 +256,8 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Opens `path` for writing, stamps the trace header, and (in the
-    /// default async mode) starts the drain thread.
+    /// Opens `path` for writing, stamps the trace header, and starts
+    /// the drain thread(s).
     ///
     /// `source_mechanism` is the registry name of the mechanism the
     /// recording will run under — replay reads it back to choose its
@@ -324,17 +277,6 @@ impl Recorder {
                 ))
             }
         };
-        let async_drain = match std::env::var(DRAIN_ENV) {
-            Ok(s) if s == "sync" => false,
-            Ok(s) if s == "async" || s.is_empty() => true,
-            Err(_) => true,
-            Ok(s) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{DRAIN_ENV}={s:?}: expected async or sync"),
-                ))
-            }
-        };
         let shards = match std::env::var(DRAIN_SHARDS_ENV) {
             Err(_) => 1,
             Ok(s) if s.is_empty() => 1,
@@ -351,12 +293,6 @@ impl Recorder {
                 }
             },
         };
-        if shards > 1 && !async_drain {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{DRAIN_SHARDS_ENV}>1 requires {DRAIN_ENV}=async"),
-            ));
-        }
 
         if SESSION_ACTIVE.swap(true, Ordering::AcqRel) {
             return Err(io::Error::other("another recording session is active"));
@@ -372,25 +308,16 @@ impl Recorder {
 
         let header =
             TraceHeader::new(source_mechanism, calibrate_tsc_hz()).with_version(format_version);
-        let sink = if async_drain {
-            TraceOut::Mmap(MmapSink::create(path).map_err(release_on)?)
-        } else {
-            TraceOut::Buffered(BufWriter::new(File::create(path).map_err(release_on)?))
-        };
+        let sink = MmapSink::create(path).map_err(release_on)?;
         let writer = TraceWriter::new(sink, &header).map_err(release_on)?;
         CONFIGURED_SHARDS.store(shards as u64, Ordering::Relaxed);
         let mode = if shards > 1 {
             Mode::Sharded {
                 handle: Some(drain::spawn_sharded(writer, shards, path).map_err(release_on)?),
             }
-        } else if async_drain {
-            Mode::Async {
-                handle: Some(drain::spawn(writer).map_err(release_on)?),
-            }
         } else {
-            Mode::Sync {
-                writer: Some(writer),
-                pending: Vec::new(),
+            Mode::Single {
+                handle: Some(drain::spawn(writer).map_err(release_on)?),
             }
         };
         Ok(Recorder {
@@ -401,61 +328,23 @@ impl Recorder {
         })
     }
 
-    /// Synchronous mode: drains every ring into the trace, ordering
-    /// records by timestamp (per-ring order is FIFO; the tsc merges
-    /// across threads), returning how many records were appended.
-    /// Async mode: a no-op — the drain thread is already sweeping.
-    pub fn drain(&mut self) -> io::Result<usize> {
-        match &mut self.mode {
-            Mode::Sync {
-                writer: Some(writer),
-                pending,
-            } => drain::sweep(writer, pending),
-            _ => Ok(0),
-        }
-    }
-
-    /// Final drain (async mode: stops and joins the drain thread),
-    /// patches the session's drop count into the header, and closes
-    /// the trace.
+    /// Final drain (stops and joins the drain threads), patches the
+    /// session's drop count into the header, and closes the trace.
     pub fn finish(mut self) -> io::Result<RecordSummary> {
         self.finish_inner()
             .expect("finish on a live recorder always has a writer")
     }
 
     fn finish_inner(&mut self) -> Option<io::Result<RecordSummary>> {
-        let writer = match &mut self.mode {
-            Mode::Sync { writer, pending } => {
-                writer.as_ref()?;
-                let sweep = drain::sweep(writer.as_mut().unwrap(), pending);
-                let writer = writer.take()?;
-                match sweep {
-                    Ok(_) => writer,
-                    Err(e) => {
-                        SESSION_ACTIVE.store(false, Ordering::Release);
-                        return Some(Err(e));
-                    }
-                }
-            }
-            Mode::Async { handle } => {
-                let handle = handle.take()?;
-                match handle.stop() {
-                    Ok(w) => w,
-                    Err(e) => {
-                        SESSION_ACTIVE.store(false, Ordering::Release);
-                        return Some(Err(e));
-                    }
-                }
-            }
-            Mode::Sharded { handle } => {
-                let handle = handle.take()?;
-                match handle.stop() {
-                    Ok(w) => w,
-                    Err(e) => {
-                        SESSION_ACTIVE.store(false, Ordering::Release);
-                        return Some(Err(e));
-                    }
-                }
+        let stopped = match &mut self.mode {
+            Mode::Single { handle } => handle.take()?.stop(),
+            Mode::Sharded { handle } => handle.take()?.stop(),
+        };
+        let writer = match stopped {
+            Ok(w) => w,
+            Err(e) => {
+                SESSION_ACTIVE.store(false, Ordering::Release);
+                return Some(Err(e));
             }
         };
         let dropped = ring::total_dropped() - self.dropped_at_start;

@@ -856,7 +856,14 @@ mod tests {
         use std::sync::Arc;
 
         // Tiny ring + concurrent drainer: growth fires mid-stream and
-        // the accounting + FIFO-order invariants must survive it.
+        // the accounting + FIFO-order invariants must survive it. The
+        // schedule is pinned so growth cannot depend on who runs
+        // faster: the producer fills the ring (passing near-full, which
+        // requests growth) and waits for the drainer to empty it; the
+        // drainer waits for that pressure before its first drain. The
+        // producer's next push then sees the ring empty and grows it
+        // while the drainer is live, and the rest of the stream races
+        // freely.
         let ring = Arc::new(SpscRing::with_capacity(64));
         let done = Arc::new(AtomicBool::new(false));
         const N: u64 = 100_000;
@@ -867,6 +874,11 @@ mod tests {
             std::thread::spawn(move || {
                 let mut pushed = 0u64;
                 for i in 0..N {
+                    if i == 64 {
+                        while !ring.is_empty() {
+                            std::thread::yield_now();
+                        }
+                    }
                     if ring.push(rec(i)) {
                         pushed += 1;
                     }
@@ -876,6 +888,9 @@ mod tests {
             })
         };
 
+        while ring.near_full() == 0 {
+            std::thread::yield_now();
+        }
         let mut seen = Vec::new();
         loop {
             ring.drain(|r| seen.push(r.sysno));

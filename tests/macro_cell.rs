@@ -63,16 +63,16 @@ fn record_row_reports_conserved_recorder_counters() {
     assert!(cell.rps > 50.0, "rps {}", cell.rps);
     assert_eq!(cell.errors, 0);
     assert!(
-        cell.events_recorded > 0,
+        cell.stats.events_recorded > 0,
         "recording server produced no events"
     );
-    assert_eq!(cell.events_dropped, 0, "recorder dropped events");
+    assert_eq!(cell.stats.events_dropped, 0, "recorder dropped events");
     assert!(
-        cell.drain_shards >= 2,
+        cell.stats.drain_shards >= 2,
         "record row should default to a sharded drain, got {}",
-        cell.drain_shards
+        cell.stats.drain_shards
     );
-    assert_eq!(cell.shard_drained.len(), cell.drain_shards as usize);
+    assert_eq!(cell.shard_drained.len(), cell.stats.drain_shards as usize);
 }
 
 #[test]

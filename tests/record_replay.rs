@@ -202,13 +202,6 @@ fn multi_thread_recording_accounts_for_every_event() {
     assert!(recorded > 0, "rings accepted events");
     assert!(dropped > 0, "overflow policy engaged under pressure");
 
-    // Folded uniformly into the engine's counter sets.
-    let stats = lazypoline_suite::lazypoline::stats();
-    assert!(stats.events_recorded >= recorded);
-    assert!(stats.events_dropped >= dropped);
-    let health = lazypoline_suite::lazypoline::health();
-    assert_eq!(health.stats.events_recorded, stats.events_recorded);
-
     // Leave the rings empty for whichever test records next.
     replay::ring::drain_all(|_| {});
 }
@@ -377,31 +370,6 @@ fn sharded_drain_conserves_every_event_across_shards() {
     .unwrap();
     drop(active);
     std::fs::remove_file(&trace).unwrap();
-}
-
-#[test]
-fn sharded_drain_requires_async_mode() {
-    let _g = record_lock();
-    let trace = temp_trace("shardsync");
-    std::env::set_var("LP_TRACE_OUT", &trace);
-    std::env::set_var(replay::DRAIN_ENV, "sync");
-    std::env::set_var(replay::DRAIN_SHARDS_ENV, "2");
-    let err = mechanism::by_name("sim:lazypoline+record")
-        .unwrap()
-        .install(Box::new(interpose::PassthroughHandler))
-        .err()
-        .expect("LP_DRAIN_SHARDS>1 with LP_DRAIN=sync must fail install");
-    std::env::remove_var(replay::DRAIN_ENV);
-    std::env::remove_var(replay::DRAIN_SHARDS_ENV);
-    std::env::remove_var("LP_TRACE_OUT");
-    match err {
-        mechanism::InstallError::Io(e) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
-            assert!(e.to_string().contains("LP_DRAIN_SHARDS"), "{e}");
-        }
-        other => panic!("expected Io(InvalidInput), got {other}"),
-    }
-    let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
