@@ -56,8 +56,14 @@ fn main() {
     };
 
     // The hardened row runs in a re-exec'd child so its one-way seccomp
-    // filter cannot leak into this process's remaining measurements.
-    let hardened = results.as_ref().map(|_| micro::run_hardened_row());
+    // filter cannot leak into this process's remaining measurements. A
+    // child that crashes fails the run; only an unsupported host skips.
+    let hardened = results.as_ref().map(|_| {
+        micro::run_hardened_row().unwrap_or_else(|reason| {
+            eprintln!("table2: hardened row failed: {reason}");
+            std::process::exit(1);
+        })
+    });
 
     if let Some(results) = &results {
         println!(
@@ -140,7 +146,7 @@ fn main() {
         if let Some(r) = &results.recording {
             println!(
                 "recording row trace: {} events, {} dropped ({:.4}% drop rate), \
-                 {} bytes ({:.1} B/event, LPTRACE{})",
+                 {} bytes ({:.1} B/event)",
                 r.events,
                 r.dropped,
                 r.drop_rate() * 100.0,
@@ -150,7 +156,6 @@ fn main() {
                 } else {
                     r.bytes as f64 / r.events as f64
                 },
-                r.format_version,
             );
         }
     }
@@ -280,8 +285,7 @@ fn main() {
                             } else {
                                 r.bytes as f64 / r.events as f64
                             }),
-                        )
-                        .field("format_version", Json::Int(u64::from(r.format_version))),
+                        ),
                 );
             }
         }
@@ -363,7 +367,6 @@ mod tests {
             "ring_grows",
             "ring_near_full",
             "drain_yields",
-            "drain_shards",
             "replay_divergences",
             "bypass_blocked",
             "pkru_switches",

@@ -27,8 +27,7 @@
 //!
 //! The sweep additionally runs [`RECORD_MECHANISM`]
 //! (`lazypoline+record`): full interposition with the flight recorder
-//! live, an async trace writer, and a **sharded drain**
-//! (`LP_DRAIN_SHARDS=2` unless overridden) — the cell that proves
+//! live and its drain thread writing the trace — the cell that proves
 //! recording keeps up with server load without dropping events. The
 //! server child reports its recorder counters back over the control
 //! pipe before teardown (`SIGTERM` → eventfd stop → stats line).
@@ -48,8 +47,8 @@ use crate::{env_f64, env_u64};
 /// presentation order.
 pub const MECHANISMS: [&str; 5] = ["none", "zpoline", "lazypoline-nox", "lazypoline", "sud"];
 
-/// The recording row: lazypoline with the flight recorder and a
-/// sharded async drain. Swept after [`MECHANISMS`].
+/// The recording row: lazypoline with the flight recorder and its
+/// drain thread. Swept after [`MECHANISMS`].
 pub const RECORD_MECHANISM: &str = "lazypoline+record";
 
 /// All rows the default Figure 5 sweep runs.
@@ -90,8 +89,6 @@ pub struct MacroCell {
     /// The server child's mechanism snapshot at stop (recorder rows
     /// stay 0 unless the cell ran a `+record` mechanism).
     pub stats: mechanism::StatsSnapshot,
-    /// Events each drain shard spooled (`replay::shard_drained`).
-    pub shard_drained: Vec<u64>,
 }
 
 /// Parameters for one forked-server measurement.
@@ -249,7 +246,7 @@ impl ServerChild {
 
     /// Stops the child (SIGTERM → eventfd stop), reads its stats line,
     /// and reaps the process group.
-    fn stop_and_stats(mut self) -> io::Result<(mechanism::StatsSnapshot, Vec<u64>)> {
+    fn stop_and_stats(mut self) -> io::Result<mechanism::StatsSnapshot> {
         // SIGTERM the master only: forked workers inherit the handler
         // and a copy of the write fd, and must not race it for the
         // stats line. The master SIGKILLs them before reporting.
@@ -261,34 +258,20 @@ impl ServerChild {
             libc::waitpid(self.pid, std::ptr::null_mut(), 0);
         }
         if let Some(trace) = &self.trace {
-            cleanup_trace(trace);
+            let _ = std::fs::remove_file(trace);
         }
         Ok(parse_stats(&tail))
     }
 }
 
-/// Parses the child's `stats <name=value text form>` and `shards <d0>
-/// <d1> ...` lines; missing or malformed lines degrade to zeros
-/// (non-recording cells report zeros anyway).
-fn parse_stats(tail: &str) -> (mechanism::StatsSnapshot, Vec<u64>) {
-    let (mut stats, mut shards) = Default::default();
-    for line in tail.lines() {
-        match line.split_once(' ').unwrap_or((line, "")) {
-            ("stats", text) => stats = text.parse().unwrap_or_default(),
-            ("shards", n) => shards = n.split_whitespace().map_while(|w| w.parse().ok()).collect(),
-            _ => {}
-        }
-    }
-    (stats, shards)
-}
-
-/// Removes a `+record` cell's temp trace and its per-shard spool
-/// files (the child is killed mid-session, so the spools survive it).
-fn cleanup_trace(trace: &Path) {
-    let _ = std::fs::remove_file(trace);
-    for shard in 0..replay::MAX_SHARDS {
-        let _ = std::fs::remove_file(trace.with_extension(format!("shard{shard}")));
-    }
+/// Parses the child's `stats <name=value text form>` line; a missing or
+/// malformed line degrades to zeros (non-recording cells report zeros
+/// anyway).
+fn parse_stats(tail: &str) -> mechanism::StatsSnapshot {
+    tail.lines()
+        .find_map(|line| line.strip_prefix("stats "))
+        .and_then(|text| text.parse().ok())
+        .unwrap_or_default()
 }
 
 /// Runs one cell: forks the server, installs the named mechanism in the
@@ -327,7 +310,7 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
         pipeline: cfg.pipeline,
         duration: Duration::from_secs_f64(cfg.secs),
     })?;
-    let (stats, shard_drained) = child.stop_and_stats()?;
+    let stats = child.stop_and_stats()?;
 
     Ok(MacroCell {
         flavor: cfg.flavor,
@@ -343,7 +326,6 @@ pub fn run_cell(docroot: &Docroot, cfg: &CellConfig) -> io::Result<MacroCell> {
         p99_ns: report.latency.percentile(0.99),
         p999_ns: report.latency.percentile(0.999),
         stats,
-        shard_drained,
     })
 }
 
@@ -508,15 +490,12 @@ fn server_child(
     }
 
     if let Some(path) = trace {
-        // Recording cell: point the recorder at the temp trace and
-        // default to a sharded drain (the cell exists to prove the
-        // recorder keeps up with server load without drops).
+        // Recording cell: point the recorder at the temp trace (the
+        // cell exists to prove the recorder keeps up with server load
+        // without drops).
         std::env::set_var(mechanism::TRACE_OUT_ENV, path);
-        if std::env::var_os(replay::DRAIN_SHARDS_ENV).is_none() {
-            std::env::set_var(replay::DRAIN_SHARDS_ENV, "2");
-        }
         // On hosts with fewer cores than producer + drainer threads the
-        // drainers only run when the scheduler preempts the event loop,
+        // drainer only runs when the scheduler preempts the event loop,
         // so the rings must absorb a full timeslice of events (~1 ms of
         // saturated serving is >10k records). 64k records ≈ 5.6 MiB per
         // hot ring — cheap insurance against overflow drops.
@@ -553,18 +532,11 @@ fn server_child(
 
     let _ = server.run(&STOP);
 
-    // Stopped via SIGTERM: report the snapshot and the per-shard drain
-    // counts over the pipe (zeros when this cell never recorded). The
-    // drain threads are still sweeping, so per-shard counts may trail
-    // `events_recorded` by the in-ring residue; `events_dropped` is
-    // exact.
-    let stats = active.stats();
-    let mut lines = format!("stats {stats}\nshards");
-    for shard in 0..stats.drain_shards as usize {
-        lines.push_str(&format!(" {}", replay::shard_drained(shard)));
-    }
-    lines.push('\n');
-    let _ = write_fd.write_all(lines.as_bytes());
+    // Stopped via SIGTERM: report the snapshot over the pipe (zeros
+    // when this cell never recorded). The drain thread is still
+    // sweeping, so `events_spilled` may trail `events_recorded` by the
+    // in-ring residue; `events_dropped` is exact.
+    let _ = write_fd.write_all(format!("stats {}\n", active.stats()).as_bytes());
     drop(write_fd);
     std::process::exit(0);
 }
@@ -647,15 +619,10 @@ mod tests {
         let sent = mechanism::StatsSnapshot {
             mechanism: "lazypoline+record",
             events_recorded: 1000,
-            drain_shards: 2,
             ..Default::default()
         };
-        let (stats, shards) = parse_stats(&format!("port junk\nstats {sent}\nshards 400 600\n"));
-        assert_eq!(stats, sent);
-        assert_eq!(shards, vec![400, 600]);
-        let (stats, shards) = parse_stats("");
-        assert_eq!(stats.events_recorded, 0);
-        assert_eq!(shards, Vec::<u64>::new());
+        assert_eq!(parse_stats(&format!("port junk\nstats {sent}\n")), sent);
+        assert_eq!(parse_stats("").events_recorded, 0);
     }
 
     // Full cells are exercised by the fig5 binary and an integration

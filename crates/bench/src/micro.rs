@@ -697,23 +697,17 @@ pub fn hardened_child_main() -> ! {
     std::process::exit(0);
 }
 
-/// Why [`run_hardened_row`] has no row to report.
+/// Why [`run_hardened_row`] has no row to report on a healthy run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HardenedSkip {
     /// The child cannot run the row on this host (it exited 2).
     Unsupported,
-    /// The child died of a signal, failed otherwise, or never started.
-    Crashed(String),
-    /// The child exited cleanly but its stdout did not parse.
-    Unparseable(String),
 }
 
 impl std::fmt::Display for HardenedSkip {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HardenedSkip::Unsupported => write!(f, "unsupported"),
-            HardenedSkip::Crashed(how) => write!(f, "crashed: {how}"),
-            HardenedSkip::Unparseable(why) => write!(f, "unparseable output: {why}"),
         }
     }
 }
@@ -721,7 +715,14 @@ impl std::fmt::Display for HardenedSkip {
 /// Runs the hardened row by re-execing the current binary with
 /// `--hardened-row` and parsing its stdout; the child's stderr passes
 /// straight through.
-pub fn run_hardened_row() -> Result<HardenedRow, HardenedSkip> {
+///
+/// # Errors
+///
+/// The outer `Err` is a failed run, never a skip: the child could not
+/// start, died of a signal, exited with a code other than 0 or 2, or
+/// printed output that does not parse. The inner `Err` is the one
+/// typed skip, [`HardenedSkip::Unsupported`].
+pub fn run_hardened_row() -> Result<Result<HardenedRow, HardenedSkip>, String> {
     use std::os::unix::process::ExitStatusExt;
 
     let out = std::env::current_exe()
@@ -731,19 +732,19 @@ pub fn run_hardened_row() -> Result<HardenedRow, HardenedSkip> {
                 .stderr(std::process::Stdio::inherit())
                 .output()
         })
-        .map_err(|e| HardenedSkip::Crashed(format!("could not start: {e}")))?;
+        .map_err(|e| format!("could not start: {e}"))?;
     match (out.status.code(), out.status.signal()) {
-        (Some(0), _) => parse_hardened_output(&String::from_utf8_lossy(&out.stdout)),
-        (Some(2), _) => Err(HardenedSkip::Unsupported),
-        (_, Some(sig)) => Err(HardenedSkip::Crashed(format!("signal {sig}"))),
-        (code, None) => Err(HardenedSkip::Crashed(format!("exit code {code:?}"))),
+        (Some(0), _) => parse_hardened_output(&String::from_utf8_lossy(&out.stdout)).map(Ok),
+        (Some(2), _) => Ok(Err(HardenedSkip::Unsupported)),
+        (_, Some(sig)) => Err(format!("crashed: signal {sig}")),
+        (code, None) => Err(format!("exit code {code:?}")),
     }
 }
 
 /// Parses the child's line-oriented wire format: `cycles <f64>...`,
 /// `stats <the snapshot's name=value text form>`, `harden <rung>`.
-fn parse_hardened_output(text: &str) -> Result<HardenedRow, HardenedSkip> {
-    let bad = HardenedSkip::Unparseable;
+fn parse_hardened_output(text: &str) -> Result<HardenedRow, String> {
+    let bad = |why: String| format!("unparseable output: {why}");
     let mut cycles = Vec::new();
     let mut stats = None;
     let mut harden_level = String::new();
@@ -1076,18 +1077,9 @@ mod tests {
             "cycles 1\nstats bogus=1\n",
             "stats dispatches=1\n",
         ] {
-            assert!(
-                matches!(
-                    parse_hardened_output(bad),
-                    Err(HardenedSkip::Unparseable(_))
-                ),
-                "{bad:?}"
-            );
+            let err = parse_hardened_output(bad).expect_err(bad);
+            assert!(err.starts_with("unparseable output: "), "{bad:?}: {err}");
         }
-        assert_eq!(
-            HardenedSkip::Crashed("signal 11".into()).to_string(),
-            "crashed: signal 11"
-        );
         assert_eq!(HardenedSkip::Unsupported.to_string(), "unsupported");
     }
 

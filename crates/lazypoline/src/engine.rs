@@ -188,8 +188,21 @@ static INITIALIZED: AtomicBool = AtomicBool::new(false);
 static MODE: AtomicU8 = AtomicU8::new(0);
 
 /// Arms fault seams from `LAZYPOLINE_FAULTS` exactly once per process
-/// (re-arming on a second `init` would reset schedule hit counts).
+/// (re-arming on a second call would reset schedule hit counts).
 static FAULTS_FROM_ENV: Once = Once::new();
+
+/// Arms `LAZYPOLINE_FAULTS` once per process. Every installer entry
+/// point that can reach a fault seam calls this first — [`init`] and
+/// [`prepare_pkey`](crate::harden::prepare_pkey), which the hardened
+/// installer runs before `init` — so a seam fires on whichever path
+/// reaches it.
+pub(crate) fn arm_faults_from_env() {
+    FAULTS_FROM_ENV.call_once(|| {
+        if let Err(e) = faultinject::arm_from_env() {
+            eprintln!("lazypoline: ignoring LAZYPOLINE_FAULTS: {e}");
+        }
+    });
+}
 
 fn store_mode(m: Mode) {
     let v = match m {
@@ -246,11 +259,7 @@ pub struct Engine {
 /// # Ok::<(), lazypoline::InitError>(())
 /// ```
 pub fn init(config: Config) -> Result<Engine, InitError> {
-    FAULTS_FROM_ENV.call_once(|| {
-        if let Err(e) = faultinject::arm_from_env() {
-            eprintln!("lazypoline: ignoring LAZYPOLINE_FAULTS: {e}");
-        }
-    });
+    arm_faults_from_env();
     crate::slowpath::BATCH_REWRITING.store(config.batch_rewriting, Ordering::SeqCst);
 
     if !INITIALIZED.load(Ordering::SeqCst) {

@@ -180,6 +180,7 @@ const fn insn(code: u16, jt: u8, jf: u8, k: u32) -> SockFilter {
 /// Propagates `pkey_alloc`/`mmap` failure (`EINVAL` on hosts without
 /// MPK) — the caller records it and continues to the next rung.
 pub fn prepare_pkey() -> io::Result<()> {
+    crate::engine::arm_faults_from_env();
     HARDEN_ATTEMPTED.store(true, Ordering::SeqCst);
     sud::pkey::init_protected_slab()?;
     sud::adopt_protected_selector()?;

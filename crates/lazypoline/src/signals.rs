@@ -202,6 +202,9 @@ pub(crate) unsafe extern "C" fn lp_signal_wrapper(
     info: *mut libc::siginfo_t,
     ctx: *mut libc::c_void,
 ) {
+    // First: the kernel entered with the default PKRU, under which the
+    // selector slab is unreadable (see `restore_steady_state`).
+    sud::pkey::restore_steady_state();
     counters::bump(&SIGNALS_WRAPPED);
     let prev_selector = sud::selector().as_byte();
     if tls::enrolled() {

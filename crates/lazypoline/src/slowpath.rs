@@ -81,6 +81,9 @@ pub(crate) unsafe extern "C" fn sigsys_handler(
     info: *mut libc::siginfo_t,
     ctx: *mut libc::c_void,
 ) {
+    // First: the kernel entered with the default PKRU, under which the
+    // selector slab is unreadable (see `restore_steady_state`).
+    sud::pkey::restore_steady_state();
     let si = SigsysInfo::from_siginfo(info);
     if si.code != sud::SYS_USER_DISPATCH {
         if si.code == crate::harden::SYS_SECCOMP && crate::harden::backstop_armed() {

@@ -154,7 +154,7 @@ counter_table! {
     /// Divergences replay detected between the execution and its trace
     /// (nonzero only under `replay:<path>`).
     replay_divergences: u64 = Delta, "divergences", Recorder, |_s| replay::replay_divergences();
-    /// Records the drain threads spilled from the rings into a trace
+    /// Records the drain thread spilled from the rings into a trace
     /// file.
     events_spilled: u64 = Delta, "events", Recorder, |_s| replay::events_spilled();
     /// Adaptive capacity doublings of flight-recorder rings.
@@ -164,9 +164,6 @@ counter_table! {
     ring_near_full: u64 = Delta, "pushes", Recorder, |_s| replay::ring::total_near_full();
     /// Near-full pushes that yielded the producer (`LP_DRAIN_YIELD`).
     drain_yields: u64 = Delta, "yields", Recorder, |_s| replay::ring::total_drain_yields();
-    /// Drainer threads partitioning the ring pool in the most recent
-    /// recorder session (1 = single drainer; `LP_DRAIN_SHARDS`).
-    drain_shards: u64 = Gauge, "threads", Recorder, |_s| replay::drain_shards();
     /// Escape attempts the hardened backstop caught (nonzero only
     /// under `lazypoline-hardened`).
     bypass_blocked: u64 = Delta, "syscalls", Engine, |s| s.engine.bypass_blocked;
@@ -335,7 +332,7 @@ mod tests {
                 .map(|r| r.name)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(of(Kind::Gauge), ["drain_shards", "hooks_loaded"]);
+        assert_eq!(of(Kind::Gauge), ["hooks_loaded"]);
         assert_eq!(of(Kind::Label), ["mechanism", "sfip_mode"]);
     }
 

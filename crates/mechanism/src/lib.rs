@@ -658,7 +658,6 @@ mod tests {
             "ring_grows",
             "ring_near_full",
             "drain_yields",
-            "drain_shards",
         ];
         const DISPATCH: &[&str] = &["dispatches", "slow_path_hits"];
         const ENGINE: &[&str] = &[

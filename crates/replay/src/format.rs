@@ -22,8 +22,8 @@
 //! [`EventRecord`]s (count implied by file size). The v2 payload is a
 //! self-delimiting [`codec`](crate::codec) varint stream — clean EOF
 //! at a record boundary ends the trace. Readers accept both
-//! generations transparently; the writer picks one at creation
-//! ([`TraceHeader::version`]).
+//! generations transparently; the writer only writes v2 (v1 traces
+//! recorded by older builds keep decoding).
 //!
 //! Everything is little-endian. The header is written first with
 //! `events_dropped = 0` and patched in place on
@@ -46,8 +46,7 @@ pub const MAGIC2: [u8; 8] = *b"LPTRACE2";
 /// The fixed-record format generation.
 pub const VERSION: u32 = 1;
 
-/// The compressed format generation — what new recordings write by
-/// default (`LP_TRACE_FORMAT=1` opts back into v1).
+/// The compressed format generation — what new recordings write.
 pub const VERSION2: u32 = 2;
 
 /// Header size in bytes.
@@ -67,7 +66,8 @@ const MECHANISM_FIELD: usize = 24;
 /// The decoded trace header.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// Format version ([`VERSION`]).
+    /// Format version ([`VERSION2`] for new recordings, [`VERSION`]
+    /// for legacy traces).
     pub version: u32,
     /// Architecture of the recording host ([`ARCH_X86_64`]).
     pub arch: u32,
@@ -84,27 +84,16 @@ pub struct TraceHeader {
 }
 
 impl TraceHeader {
-    /// A fresh v1 (fixed-record) header for a recording on this host.
+    /// A fresh v2 header for a recording on this host.
     pub fn new(source_mechanism: &str, tsc_hz: u64) -> TraceHeader {
         TraceHeader {
-            version: VERSION,
+            version: VERSION2,
             arch: ARCH_X86_64,
             page_size: 4096,
             tsc_hz,
             events_dropped: 0,
             source_mechanism: source_mechanism.to_string(),
         }
-    }
-
-    /// The same header re-stamped at format generation `version`
-    /// ([`VERSION`] or [`VERSION2`]).
-    pub fn with_version(mut self, version: u32) -> TraceHeader {
-        assert!(
-            version == VERSION || version == VERSION2,
-            "unknown trace format generation {version}"
-        );
-        self.version = version;
-        self
     }
 
     fn encode(&self) -> [u8; HEADER_SIZE] {
@@ -208,15 +197,13 @@ impl From<TraceError> for io::Error {
     }
 }
 
-/// Streams records into the binary trace format — fixed 88-byte
-/// records for a v1 header, the compressed [`codec`](crate::codec)
-/// stream for v2.
+/// Streams records into the LPTRACE2 format: the header, then the
+/// compressed [`codec`](crate::codec) stream.
 pub struct TraceWriter<W: Write + Seek> {
     out: W,
     events: u64,
     bytes: u64,
-    /// `Some` iff the header was v2.
-    encoder: Option<Lp2Encoder>,
+    encoder: Lp2Encoder,
     /// Encode scratch, reused across appends.
     scratch: Vec<u8>,
 }
@@ -224,33 +211,30 @@ pub struct TraceWriter<W: Write + Seek> {
 impl<W: Write + Seek> TraceWriter<W> {
     /// Writes the header (with `events_dropped = 0`, patched later)
     /// and readies the writer for [`append`](TraceWriter::append).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `header` is not a [`VERSION2`] header: the writer has
+    /// no LPTRACE1 encoder.
     pub fn new(mut out: W, header: &TraceHeader) -> io::Result<TraceWriter<W>> {
+        assert_eq!(header.version, VERSION2, "TraceWriter writes LPTRACE2 only");
         out.write_all(&header.encode())?;
         Ok(TraceWriter {
             out,
             events: 0,
             bytes: HEADER_SIZE as u64,
-            encoder: (header.version == VERSION2).then(Lp2Encoder::new),
+            encoder: Lp2Encoder::new(),
             scratch: Vec::new(),
         })
     }
 
-    /// Appends one record in the header's format generation.
+    /// Appends one record.
     pub fn append(&mut self, rec: &EventRecord) -> io::Result<()> {
-        let n = match &mut self.encoder {
-            Some(enc) => {
-                self.scratch.clear();
-                enc.encode(rec, &mut self.scratch);
-                self.out.write_all(&self.scratch)?;
-                self.scratch.len()
-            }
-            None => {
-                self.out.write_all(&rec.encode())?;
-                RECORD_SIZE
-            }
-        };
+        self.scratch.clear();
+        self.encoder.encode(rec, &mut self.scratch);
+        self.out.write_all(&self.scratch)?;
         self.events += 1;
-        self.bytes += n as u64;
+        self.bytes += self.scratch.len() as u64;
         Ok(())
     }
 
@@ -430,7 +414,7 @@ mod tests {
 
     #[test]
     fn v2_write_read_roundtrip_is_transparent_and_smaller() {
-        let header = TraceHeader::new("sim:lazypoline", 2_100_000_000).with_version(VERSION2);
+        let header = TraceHeader::new("sim:lazypoline", 2_100_000_000);
         let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         for i in 0..200 {
             w.append(&sample(i)).unwrap();
@@ -454,7 +438,7 @@ mod tests {
 
     #[test]
     fn v2_truncated_payload_detected() {
-        let header = TraceHeader::new("x", 0).with_version(VERSION2);
+        let header = TraceHeader::new("x", 0);
         let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
         w.append(&sample(0)).unwrap();
         w.append(&sample(1)).unwrap();
@@ -469,10 +453,7 @@ mod tests {
 
     #[test]
     fn v2_magic_with_wrong_version_field_rejected() {
-        let mut bytes = TraceHeader::new("x", 0)
-            .with_version(VERSION2)
-            .encode()
-            .to_vec();
+        let mut bytes = TraceHeader::new("x", 0).encode().to_vec();
         bytes[8] = 1; // claims v1 under the v2 magic
         assert!(matches!(
             read_trace(Cursor::new(bytes)),
@@ -498,13 +479,41 @@ mod tests {
         ));
     }
 
+    /// A legacy LPTRACE1 trace, laid out by hand: the v1 header plus
+    /// fixed-size records.
+    fn v1_trace(records: &[EventRecord]) -> Vec<u8> {
+        let header = TraceHeader {
+            version: VERSION,
+            ..TraceHeader::new("sim:lazypoline", 0)
+        };
+        let mut bytes = header.encode().to_vec();
+        for rec in records {
+            bytes.extend_from_slice(&rec.encode());
+        }
+        bytes
+    }
+
+    #[test]
+    fn v1_traces_still_decode() {
+        let (h, recs) = read_trace(Cursor::new(v1_trace(&[sample(0), sample(1)]))).unwrap();
+        assert_eq!(h.version, VERSION);
+        assert_eq!(h.source_mechanism, "sim:lazypoline");
+        assert_eq!(recs, vec![sample(0), sample(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "LPTRACE2 only")]
+    fn writer_refuses_a_v1_header() {
+        let header = TraceHeader {
+            version: VERSION,
+            ..TraceHeader::new("x", 0)
+        };
+        let _ = TraceWriter::new(Cursor::new(Vec::new()), &header);
+    }
+
     #[test]
     fn truncated_record_detected() {
-        let header = TraceHeader::new("x", 0);
-        let mut w = TraceWriter::new(Cursor::new(Vec::new()), &header).unwrap();
-        w.append(&sample(0)).unwrap();
-        let (cursor, _) = w.finalize(0).unwrap();
-        let mut bytes = cursor.into_inner();
+        let mut bytes = v1_trace(&[sample(0)]);
         bytes.truncate(bytes.len() - 10);
         assert!(matches!(
             read_trace(Cursor::new(bytes)),

@@ -10,12 +10,11 @@
 //!    (drop-and-count on overflow; never perturbs the application).
 //! 2. **Trace format** ([`format`], [`codec`], [`spill`]): a
 //!    [`Recorder`] session spills the rings into a versioned binary
-//!    trace — by default a dedicated drain thread continuously sweeps
-//!    the rings into an mmap-backed chunked file in the compressed
-//!    `LPTRACE2` encoding (delta tsc, varint args, dictionary
-//!    sysno/site), so producers keep up at full event rate with zero
-//!    drops; `LPTRACE1`'s fixed 88-byte records remain writable
-//!    (`LP_TRACE_FORMAT=1`) and both generations read back
+//!    trace — one dedicated drain thread continuously sweeps the rings
+//!    into an mmap-backed chunked file in the compressed `LPTRACE2`
+//!    encoding (delta tsc, varint args, dictionary sysno/site), so
+//!    producers keep up at full event rate with zero drops. Traces in
+//!    the older `LPTRACE1` fixed 88-byte layout still read back
 //!    transparently, with an strace-like [`dump_trace`] rendering
 //!    built on the shared
 //!    [`format_syscall_line`](interpose::format_syscall_line).
@@ -32,7 +31,7 @@
 #![deny(missing_docs)]
 
 pub mod codec;
-pub mod drain;
+mod drain;
 mod event;
 pub mod format;
 mod record;
@@ -45,10 +44,8 @@ pub use format::{
     dump_trace, read_trace, read_trace_path, render_record, TraceError, TraceHeader, TraceWriter,
     HEADER_SIZE, MAGIC, MAGIC2, VERSION, VERSION2,
 };
-pub use drain::{shard_drained, MAX_SHARDS};
 pub use record::{
-    drain_shards, events_dropped, events_recorded, events_spilled, RecordHandler, RecordSummary,
-    Recorder, DRAIN_SHARDS_ENV, TRACE_FORMAT_ENV,
+    events_dropped, events_recorded, events_spilled, RecordHandler, RecordSummary, Recorder,
 };
 pub use ring::RingConfigError;
 pub use replay::{

@@ -11,31 +11,9 @@ use interpose::{Action, InterestSet, SyscallEvent, SyscallHandler};
 
 use crate::drain;
 use crate::event::EventRecord;
-use crate::format::{TraceHeader, TraceWriter, VERSION, VERSION2};
+use crate::format::{TraceHeader, TraceWriter};
 use crate::ring;
 use crate::spill::MmapSink;
-
-/// Environment variable selecting the trace format generation: `1`
-/// forces LPTRACE1 (fixed 88-byte records); unset or `2` writes the
-/// compressed LPTRACE2 default.
-pub const TRACE_FORMAT_ENV: &str = "LP_TRACE_FORMAT";
-
-/// Environment variable selecting how many drainer threads partition
-/// the ring pool: unset or `1` keeps the single drainer; `2..=16`
-/// shard the pool, each shard spilling to its own side spool merged
-/// into the trace at finish. See
-/// [`drain`](crate::drain)'s module docs.
-pub const DRAIN_SHARDS_ENV: &str = "LP_DRAIN_SHARDS";
-
-/// Drainer shard count of the most recent recorder session (1 when
-/// unsharded; persists after the session for stats reporting).
-static CONFIGURED_SHARDS: AtomicU64 = AtomicU64::new(1);
-
-/// Drainer shard count configured for the current/most recent
-/// recording session (1 = single drainer).
-pub fn drain_shards() -> u64 {
-    CONFIGURED_SHARDS.load(Ordering::Relaxed)
-}
 
 /// Events successfully recorded into a ring (process lifetime).
 static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
@@ -52,7 +30,7 @@ pub fn events_dropped() -> u64 {
     ring::total_dropped()
 }
 
-/// Records the drain threads spilled from the rings into a trace since
+/// Records the drain thread spilled from the rings into a trace since
 /// process start.
 pub fn events_spilled() -> u64 {
     drain::EVENTS_SPILLED.load(Ordering::Relaxed)
@@ -183,8 +161,6 @@ pub struct RecordSummary {
     pub dropped: u64,
     /// Trace file size in bytes (header included).
     pub bytes: u64,
-    /// Format generation written (1 = LPTRACE1, 2 = LPTRACE2).
-    pub format_version: u32,
 }
 
 impl RecordSummary {
@@ -217,30 +193,14 @@ impl RecordSummary {
     }
 }
 
-/// How the session moves records from the rings to the trace.
-enum Mode {
-    /// One dedicated drain thread sweeps continuously.
-    Single {
-        /// `None` once finished.
-        handle: Option<drain::DrainHandle<MmapSink>>,
-    },
-    /// M drainer threads partition the ring pool (`LP_DRAIN_SHARDS`).
-    Sharded {
-        /// `None` once finished.
-        handle: Option<drain::ShardedDrainHandle<MmapSink>>,
-    },
-}
-
 /// A recording session: owns the trace file, spills the
 /// flight-recorder rings into it, and patches the final drop count on
 /// [`finish`](Recorder::finish).
 ///
-/// The session runs a dedicated drain thread (or `LP_DRAIN_SHARDS` of
-/// them) that sweeps the rings continuously into an mmap-backed
-/// LPTRACE2 trace — at steady state producers never meet a full ring,
-/// so `events_dropped == 0`. `LP_TRACE_FORMAT=1` writes the
-/// fixed-record LPTRACE1 format instead. `LP_RING_CAPACITY` /
-/// `LP_MAX_RINGS` are validated and applied here (a malformed value
+/// The session runs one dedicated drain thread that sweeps the rings
+/// continuously into an mmap-backed LPTRACE2 trace — at steady state
+/// producers never meet a full ring, so `events_dropped == 0`.
+/// `LP_RING_CAPACITY` is validated and applied here (a malformed value
 /// fails the install, never silently falls back).
 ///
 /// Create it *before* installing the [`RecordHandler`] — it clears
@@ -249,15 +209,15 @@ enum Mode {
 /// interposition (its own spill syscalls stay out of the trace).
 /// `finish` after the handler is uninstalled.
 pub struct Recorder {
-    mode: Mode,
+    /// `None` once finished.
+    drain: Option<drain::DrainHandle<MmapSink>>,
     path: PathBuf,
     dropped_at_start: u64,
-    format_version: u32,
 }
 
 impl Recorder {
     /// Opens `path` for writing, stamps the trace header, and starts
-    /// the drain thread(s).
+    /// the drain thread.
     ///
     /// `source_mechanism` is the registry name of the mechanism the
     /// recording will run under — replay reads it back to choose its
@@ -266,33 +226,6 @@ impl Recorder {
         // Validate configuration before touching any state: a typo'd
         // LP_RING_CAPACITY must fail the install, not half-start it.
         ring::configure_from_env()?;
-        let format_version = match std::env::var(TRACE_FORMAT_ENV) {
-            Ok(s) if s == "1" => VERSION,
-            Ok(s) if s == "2" || s.is_empty() => VERSION2,
-            Err(_) => VERSION2,
-            Ok(s) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{TRACE_FORMAT_ENV}={s:?}: expected 1 or 2"),
-                ))
-            }
-        };
-        let shards = match std::env::var(DRAIN_SHARDS_ENV) {
-            Err(_) => 1,
-            Ok(s) if s.is_empty() => 1,
-            Ok(s) => match s.parse::<usize>() {
-                Ok(n) if (1..=drain::MAX_SHARDS).contains(&n) => n,
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "{DRAIN_SHARDS_ENV}={s:?}: expected 1..={}",
-                            drain::MAX_SHARDS
-                        ),
-                    ))
-                }
-            },
-        };
 
         if SESSION_ACTIVE.swap(true, Ordering::AcqRel) {
             return Err(io::Error::other("another recording session is active"));
@@ -306,29 +239,18 @@ impl Recorder {
         ring::drain_all(|_| {});
         let dropped_at_start = ring::total_dropped();
 
-        let header =
-            TraceHeader::new(source_mechanism, calibrate_tsc_hz()).with_version(format_version);
+        let header = TraceHeader::new(source_mechanism, calibrate_tsc_hz());
         let sink = MmapSink::create(path).map_err(release_on)?;
         let writer = TraceWriter::new(sink, &header).map_err(release_on)?;
-        CONFIGURED_SHARDS.store(shards as u64, Ordering::Relaxed);
-        let mode = if shards > 1 {
-            Mode::Sharded {
-                handle: Some(drain::spawn_sharded(writer, shards, path).map_err(release_on)?),
-            }
-        } else {
-            Mode::Single {
-                handle: Some(drain::spawn(writer).map_err(release_on)?),
-            }
-        };
+        let drain = drain::spawn(writer).map_err(release_on)?;
         Ok(Recorder {
-            mode,
+            drain: Some(drain),
             path: path.to_path_buf(),
             dropped_at_start,
-            format_version,
         })
     }
 
-    /// Final drain (stops and joins the drain threads), patches the
+    /// Final drain (stops and joins the drain thread), patches the
     /// session's drop count into the header, and closes the trace.
     pub fn finish(mut self) -> io::Result<RecordSummary> {
         self.finish_inner()
@@ -336,11 +258,7 @@ impl Recorder {
     }
 
     fn finish_inner(&mut self) -> Option<io::Result<RecordSummary>> {
-        let stopped = match &mut self.mode {
-            Mode::Single { handle } => handle.take()?.stop(),
-            Mode::Sharded { handle } => handle.take()?.stop(),
-        };
-        let writer = match stopped {
+        let writer = match self.drain.take()?.stop() {
             Ok(w) => w,
             Err(e) => {
                 SESSION_ACTIVE.store(false, Ordering::Release);
@@ -354,7 +272,6 @@ impl Recorder {
             events,
             dropped,
             bytes,
-            format_version: self.format_version,
         });
         SESSION_ACTIVE.store(false, Ordering::Release);
         Some(result)

@@ -36,13 +36,9 @@ use crate::event::EventRecord;
 /// 88 KiB, mapped only when a thread actually claims it.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
-/// Default rings in the pool — matches the engine counter shard count;
-/// override with [`LP_MAX_RINGS`] up to [`HARD_MAX_RINGS`].
-pub const DEFAULT_MAX_RINGS: usize = 64;
-
-/// Ring headers physically present in the pool; [`LP_MAX_RINGS`] can
-/// lower or raise the usable count up to this bound. Headers are tiny
-/// (the slot arrays are mapped on claim), so the headroom is cheap.
+/// Ring headers in the pool: the most threads that can record. Headers
+/// are tiny (the slot arrays are mapped on claim), so the headroom is
+/// cheap.
 pub const HARD_MAX_RINGS: usize = 512;
 
 /// Largest accepted/grown per-ring capacity (records). At 88 bytes per
@@ -53,10 +49,6 @@ pub const MAX_RING_CAPACITY: usize = 1 << 22;
 /// Environment variable overriding the per-ring capacity (records;
 /// must be a power of two in `[64, MAX_RING_CAPACITY]`).
 pub const LP_RING_CAPACITY: &str = "LP_RING_CAPACITY";
-
-/// Environment variable overriding the usable ring count (must be a
-/// power of two in `[1, HARD_MAX_RINGS]`).
-pub const LP_MAX_RINGS: &str = "LP_MAX_RINGS";
 
 /// Environment variable opting into producer-side cooperative
 /// yielding: any non-empty value other than `0` makes a near-full push
@@ -139,38 +131,28 @@ impl From<RingConfigError> for std::io::Error {
 /// rings claimed *after* the store; already-claimed rings keep their
 /// storage (growth still doubles them).
 static CONFIG_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-/// Configured usable ring count (0 = unset, use default).
-static CONFIG_MAX_RINGS: AtomicUsize = AtomicUsize::new(0);
 /// Whether near-full pushes yield the producer ([`LP_DRAIN_YIELD`]).
 static DRAIN_YIELD: AtomicBool = AtomicBool::new(false);
 /// Times a near-full push actually yielded (process-wide; the knob is
 /// global, so the counter is too).
 static DRAIN_YIELDS: AtomicU64 = AtomicU64::new(0);
 
-/// Sets the ring geometry programmatically. Both must be powers of two
-/// (validated with a typed [`RingConfigError`]); affects rings claimed
-/// after the call. The defaults ([`DEFAULT_RING_CAPACITY`] /
-/// [`DEFAULT_MAX_RINGS`]) are unchanged from the compile-time era.
-pub fn configure(capacity: usize, max_rings: usize) -> Result<(), RingConfigError> {
+/// Sets the per-ring capacity programmatically. It must be a power of
+/// two (validated with a typed [`RingConfigError`]); affects rings
+/// claimed after the call.
+pub fn configure(capacity: usize) -> Result<(), RingConfigError> {
     validate(LP_RING_CAPACITY, capacity as u64, 64, MAX_RING_CAPACITY as u64)?;
-    validate(LP_MAX_RINGS, max_rings as u64, 1, HARD_MAX_RINGS as u64)?;
     CONFIG_CAPACITY.store(capacity, Ordering::Release);
-    CONFIG_MAX_RINGS.store(max_rings, Ordering::Release);
     Ok(())
 }
 
-/// Reads [`LP_RING_CAPACITY`] / [`LP_MAX_RINGS`] and applies them.
+/// Reads [`LP_RING_CAPACITY`] and [`LP_DRAIN_YIELD`] and applies them.
 /// Unset/empty variables keep the current setting; malformed values
 /// are a typed error (never a silent fallback). Call this from a
 /// normal (non-signal) context — session/handler setup does.
 pub fn configure_from_env() -> Result<(), RingConfigError> {
     if let Some(v) = env_value(LP_RING_CAPACITY)? {
-        validate(LP_RING_CAPACITY, v, 64, MAX_RING_CAPACITY as u64)?;
-        CONFIG_CAPACITY.store(v as usize, Ordering::Release);
-    }
-    if let Some(v) = env_value(LP_MAX_RINGS)? {
-        validate(LP_MAX_RINGS, v, 1, HARD_MAX_RINGS as u64)?;
-        CONFIG_MAX_RINGS.store(v as usize, Ordering::Release);
+        configure(v as usize)?;
     }
     // Boolean knob: set and not "0" means on (no typed error — any
     // value is a valid intent).
@@ -226,14 +208,6 @@ pub fn configured_capacity() -> usize {
     match CONFIG_CAPACITY.load(Ordering::Acquire) {
         0 => DEFAULT_RING_CAPACITY,
         n => n,
-    }
-}
-
-/// The number of pool rings threads may claim.
-pub fn configured_max_rings() -> usize {
-    match CONFIG_MAX_RINGS.load(Ordering::Acquire) {
-        0 => DEFAULT_MAX_RINGS,
-        n => n.min(HARD_MAX_RINGS),
     }
 }
 
@@ -527,8 +501,8 @@ static RINGS: [SpscRing; HARD_MAX_RINGS] = [const { SpscRing::new() }; HARD_MAX_
 /// SPSC contract trivially true).
 static NEXT_RING: AtomicUsize = AtomicUsize::new(0);
 
-/// Events dropped because more than the configured ring count of
-/// threads recorded.
+/// Events dropped because more than [`HARD_MAX_RINGS`] threads
+/// recorded.
 static POOL_EXHAUSTED_DROPS: AtomicU64 = AtomicU64::new(0);
 
 /// Adaptive growths across the pool (and standalone rings).
@@ -556,7 +530,7 @@ pub fn push_current_thread(rec: EventRecord) -> bool {
             return cached;
         }
         let claimed = NEXT_RING.fetch_add(1, Ordering::Relaxed);
-        let idx = if claimed < configured_max_rings() {
+        let idx = if claimed < HARD_MAX_RINGS {
             claimed
         } else {
             NO_RING
@@ -583,23 +557,6 @@ pub fn drain_all(mut f: impl FnMut(EventRecord)) -> usize {
     RINGS[..rings_claimed()]
         .iter()
         .map(|r| r.drain(&mut f))
-        .sum()
-}
-
-/// Drains the claimed pool rings belonging to partition `shard` of
-/// `shards` (ring index modulo `shards`), passing records to `f`.
-///
-/// The partition is stable — a ring index never changes — so with one
-/// drainer thread per shard every ring still has exactly one consumer
-/// and the SPSC contract holds shard-locally. Cross-ring ordering is
-/// the caller's to resolve at merge time.
-pub fn drain_partition(shard: usize, shards: usize, mut f: impl FnMut(EventRecord)) -> usize {
-    let shards = shards.max(1);
-    RINGS[..rings_claimed()]
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % shards == shard)
-        .map(|(_, r)| r.drain(&mut f))
         .sum()
 }
 
@@ -783,31 +740,26 @@ mod tests {
     fn configure_validates_and_applies() {
         // Typed errors, no state change on failure.
         assert!(matches!(
-            configure(1000, 64),
+            configure(1000),
             Err(RingConfigError::NotPowerOfTwo { var, value: 1000 })
                 if var == LP_RING_CAPACITY
         ));
         assert!(matches!(
-            configure(1024, HARD_MAX_RINGS * 2),
-            Err(RingConfigError::OutOfRange { var, .. }) if var == LP_MAX_RINGS
+            configure(MAX_RING_CAPACITY * 2),
+            Err(RingConfigError::OutOfRange { var, .. }) if var == LP_RING_CAPACITY
         ));
         assert!(matches!(
-            configure(16, 64),
+            configure(16),
             Err(RingConfigError::OutOfRange { var, value: 16, .. })
                 if var == LP_RING_CAPACITY
         ));
-        // A valid configuration round-trips through the accessors.
-        let (cap0, rings0) = (configured_capacity(), configured_max_rings());
-        configure(2048, 64).unwrap();
+        // A valid configuration round-trips through the accessor.
+        let cap0 = configured_capacity();
+        configure(2048).unwrap();
         assert_eq!(configured_capacity(), 2048);
-        assert_eq!(configured_max_rings(), 64);
         // Restore (tests share the process).
         CONFIG_CAPACITY.store(
             if cap0 == DEFAULT_RING_CAPACITY { 0 } else { cap0 },
-            Ordering::Release,
-        );
-        CONFIG_MAX_RINGS.store(
-            if rings0 == DEFAULT_MAX_RINGS { 0 } else { rings0 },
             Ordering::Release,
         );
     }

@@ -158,6 +158,31 @@ fn wd_bit(pkey: i32) -> u32 {
     1 << (2 * k + 1)
 }
 
+/// The slab key's access-disable bit in PKRU (bit `2k`).
+fn ad_bit(pkey: i32) -> u32 {
+    1 << (2 * pkey as u32)
+}
+
+/// Restores the steady PKRU state for the slab key — reads allowed,
+/// writes disabled — at the entry of a signal handler.
+///
+/// The kernel runs every signal handler with the default PKRU, which
+/// denies *access*, not just writes, to every non-zero key. Any read of
+/// the selector then faults, including the kernel's own read on the
+/// handler's first syscall, and the task dies with SIGSEGV. Every
+/// signal handler the engine owns must call this as its first
+/// statement, before it touches the selector or makes a syscall; the
+/// interrupted context's PKRU comes back with `rt_sigreturn`. No-op
+/// without a hardware-keyed slab. Async-signal-safe: two register
+/// instructions, no syscall.
+#[inline]
+pub fn restore_steady_state() {
+    let pkey = SLAB_PKEY.load(Ordering::Relaxed);
+    if pkey >= 0 {
+        wrpkru_hw((rdpkru_hw() & !ad_bit(pkey)) | wd_bit(pkey));
+    }
+}
+
 /// Whether a slab exists (hardware-protected or software-shadowed).
 pub fn slab_ready() -> bool {
     SLAB_BASE.load(Ordering::Acquire) != 0

@@ -912,10 +912,19 @@ fn scenario_fault_prescan_only() {
 fn scenario_degraded_smoke() {
     // Honors whatever LAZYPOLINE_FAULTS the harness (e.g. the CI fault
     // matrix) passed through: init must succeed — degraded if need be —
-    // and basic I/O must keep working.
+    // and basic I/O must keep working. A `pkey_*` seam is only reached
+    // by the hardened installer, so that spec installs it and expects
+    // the MPK rung to degrade to the seccomp backstop alone.
     let spec = std::env::var("LAZYPOLINE_FAULTS").unwrap_or_default();
-    interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
-    let engine = lazypoline::init(Config::default()).expect("init must degrade, not fail");
+    let pkey_spec = spec.contains("pkey_");
+    let (_hardened, engine) = if pkey_spec {
+        let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+        (Some(active), None)
+    } else {
+        interpose::set_global_handler(Box::new(interpose::PassthroughHandler));
+        let engine = lazypoline::init(Config::default()).expect("init must degrade, not fail");
+        (None, Some(engine))
+    };
 
     let tmp = std::env::temp_dir().join(format!("lp-degraded-{}", std::process::id()));
     std::fs::write(&tmp, b"degraded").unwrap();
@@ -931,10 +940,20 @@ fn scenario_degraded_smoke() {
         lazypoline::Mode::Hybrid
     };
     assert_eq!(h.mode, expected, "spec={spec:?} health={h:?}");
+    if pkey_spec {
+        assert_eq!(
+            h.harden,
+            lazypoline::harden::HardenLevel::BackstopOnly,
+            "spec={spec:?} health={h:?}"
+        );
+        println!("degraded_smoke: harden level {:?}", h.harden);
+    }
     if !spec.is_empty() {
         assert!(h.faults_injected >= 1, "armed faults never fired: {h:?}");
     }
-    engine.unenroll_current_thread();
+    if let Some(engine) = engine {
+        engine.unenroll_current_thread();
+    }
 }
 
 // ——— mechanism-layer scenarios ——————————————————————————————————————
@@ -1358,9 +1377,9 @@ fn flip_selector_to_allow() {
 }
 
 /// Whether the pkey layer would fault the direct write before the
-/// backstop ever sees a syscall. On MPK hosts the scenarios exit
-/// early: the write-fault path is asserted deterministically in
-/// `sim-interpose`'s security tests instead.
+/// backstop ever sees a syscall. On MPK hosts the backstop scenarios
+/// exit early: `escape_store_faults` asserts the write fault natively,
+/// and `sim-interpose`'s security tests assert it deterministically.
 fn selector_is_hardware_protected() -> bool {
     matches!(
         lazypoline::harden::level(),
@@ -1472,6 +1491,67 @@ fn scenario_escape_fork_rearm() {
         libc::WEXITSTATUS(status),
         42,
         "fork child must catch the escape"
+    );
+}
+
+/// On an MPK host the hardened selector sits on a write-disabled slab:
+/// a direct store from application code dies with SIGSEGV before any
+/// syscall. Without MPK hardware it prints a `skip:` line instead.
+fn scenario_escape_store_faults() {
+    let _active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+    let level = lazypoline::harden::level();
+    if level != lazypoline::harden::HardenLevel::Full {
+        println!("skip: escape_store_faults: needs harden level Full, got {level:?}");
+        return;
+    }
+    let pid = unsafe { libc::fork() };
+    assert!(pid >= 0, "fork failed");
+    if pid == 0 {
+        flip_selector_to_allow();
+        // Unreachable: the store faults on the write-disabled slab.
+        unsafe { libc::_exit(7) };
+    }
+    use std::os::unix::process::ExitStatusExt;
+    const SIGSEGV: i32 = 11;
+    let mut status = 0;
+    assert_eq!(unsafe { libc::waitpid(pid, &mut status, 0) }, pid);
+    let status = std::process::ExitStatus::from_raw(status);
+    assert_eq!(
+        status.signal(),
+        Some(SIGSEGV),
+        "the selector store must fault: {status}"
+    );
+}
+
+/// A wrapped application signal handler that makes syscalls under the
+/// hardened layer. The kernel enters every handler with a PKRU that
+/// denies reads of the selector slab; the engine's signal entry points
+/// restore read access before the first syscall, or the kernel's own
+/// selector read kills the task with SIGSEGV.
+fn scenario_hardened_signal_syscall() {
+    static HANDLER_SYSCALLS: AtomicU64 = AtomicU64::new(0);
+
+    extern "C" fn on_usr1(_sig: libc::c_int) {
+        if unsafe { libc::getpid() } > 0 {
+            HANDLER_SYSCALLS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    let active = install("lazypoline-hardened", Box::new(interpose::PassthroughHandler));
+    unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = on_usr1 as *const () as usize;
+        assert_eq!(libc::sigaction(libc::SIGUSR1, &sa, std::ptr::null_mut()), 0);
+        for _ in 0..5 {
+            libc::raise(libc::SIGUSR1);
+        }
+    }
+    assert_eq!(HANDLER_SYSCALLS.load(Ordering::SeqCst), 5);
+    let wrapped = active.stats().signals_wrapped;
+    assert!(wrapped >= 5, "wrapped {wrapped}");
+    println!(
+        "hardened_signal_syscall: harden level {:?}",
+        lazypoline::harden::level()
     );
 }
 
@@ -1684,6 +1764,8 @@ const SCENARIOS: &[(&str, fn())] = &[
     ("escape_quarantine", scenario_escape_quarantine),
     ("escape_kill", scenario_escape_kill),
     ("escape_fork_rearm", scenario_escape_fork_rearm),
+    ("escape_store_faults", scenario_escape_store_faults),
+    ("hardened_signal_syscall", scenario_hardened_signal_syscall),
     ("sfip_native", scenario_sfip_native),
     ("sfip_escape_plain", scenario_sfip_escape_plain),
     ("sfip_escape_count", scenario_sfip_escape_count),
